@@ -137,8 +137,8 @@ def anneal(space: ParameterSpace, evaluator: Any, params: AnnealParams) -> Searc
 
     `evaluator` must expose evaluate(config) -> float. The winner is the
     first configuration reaching the maximal observed value, boundary seeds
-    included. An evaluator exception aborts the run with the partial trace
-    attached to the raised SearchAborted.
+    included. An evaluator exception or a non-finite value aborts the run
+    with the partial trace attached to the raised SearchAborted.
     """
     rng = random.Random(params.seed)
     cache: dict[tuple[Any, ...], float] = {}
@@ -162,6 +162,10 @@ def anneal(space: ParameterSpace, evaluator: Any, params: AnnealParams) -> Searc
             raise SearchAborted(
                 f"evaluator failed on {config!r}: {exc}", partial_trace()
             ) from exc
+        if not math.isfinite(value):
+            raise SearchAborted(
+                f"evaluator returned {value!r} on {config!r}", partial_trace()
+            )
         cache[key] = value
         return value, False
 

@@ -22,6 +22,7 @@ from .annealing import AnnealParams, SearchAborted, write_trace_csv
 from .evaluators import (
     AmbiguousLogError,
     CommandExecutionError,
+    ModelEvaluator,
     NotRecordedError,
     ORACLE_FAMILIES,
     make_evaluator,
@@ -56,7 +57,6 @@ from .surrogate import (
     Hyperparameters,
     ModelFormatError,
     UndefinedScoreError,
-    load_model,
     predict_boosted_batch,
 )
 
@@ -229,12 +229,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     space = resolve_space(args.space)
-    model = load_model(args.model)
-    if tuple(model.feature_names) != space.names:
-        raise ValueError(
-            f"model features {list(model.feature_names)} do not match space "
-            f"parameters {list(space.names)}"
-        )
+    model = ModelEvaluator.from_file(args.model, space).model
     if args.all:
         configs = list(space.enumerate_all())
     else:

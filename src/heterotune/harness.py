@@ -13,7 +13,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -394,14 +394,7 @@ def train_model(
     elif scheme == "split":
         rng = np.random.default_rng(seed)
         train, test = split_train_test(data, argument, rng)
-        held_out_model = fit_boosted(
-            train,
-            rng,
-            n_estimators=hyper.n_estimators,
-            max_depth=hyper.max_depth,
-            min_samples_leaf=hyper.min_samples_leaf,
-            learning_rate=hyper.learning_rate,
-        )
+        held_out_model = fit_boosted(train, rng, **asdict(hyper))
         predictions = predict_boosted_batch(held_out_model, test.features)
         outcome = ModelMetrics(
             r2=r2_score(predictions, test.targets),
@@ -411,14 +404,7 @@ def train_model(
             ),
         )
 
-    model = fit_boosted(
-        data,
-        np.random.default_rng(seed),
-        n_estimators=hyper.n_estimators,
-        max_depth=hyper.max_depth,
-        min_samples_leaf=hyper.min_samples_leaf,
-        learning_rate=hyper.learning_rate,
-    )
+    model = fit_boosted(data, np.random.default_rng(seed), **asdict(hyper))
     if model_path is not None:
         save_model(model, model_path)
     return TrainingResult(model=model, validation=outcome, n_rows=len(rows), seed=seed)

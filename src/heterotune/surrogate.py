@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -118,42 +118,33 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """Internal split or leaf. Rows with x[feature] < threshold go left."""
-
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass(frozen=True)
 class RegressionTree:
-    root: TreeNode
+    """CART regression tree as five parallel preorder arrays; node 0 is the root.
+
+    A split sends rows with x[feature] < threshold left; its value is NaN. A
+    leaf has feature -1, threshold -inf and itself as both children. The
+    arrays are tuples of Python numbers, which one-row prediction indexes fast.
+    """
+
+    feature: tuple[int, ...]
+    threshold: tuple[float, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    value: tuple[float, ...]
     n_features: int
     max_depth: int | None
     min_samples_leaf: int
 
     def depth(self) -> int:
-        def walk(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        # Preorder puts every child after its parent, so one forward pass works.
+        depths = [0] * len(self.feature)
+        for node, f in enumerate(self.feature):
+            if f >= 0:
+                depths[self.left[node]] = depths[self.right[node]] = depths[node] + 1
+        return max(depths)
 
     def leaf_count(self) -> int:
-        def walk(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root)
+        return self.feature.count(-1)
 
 
 def _weighted_mean(y: np.ndarray, w: np.ndarray) -> float:
@@ -225,32 +216,33 @@ def _build_tree(
     X: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
-    depth: int,
     max_depth: int | None,
     min_samples_leaf: int,
-) -> TreeNode:
-    value = _weighted_mean(y, w)
-    if (
-        (max_depth is not None and depth >= max_depth)
-        or len(y) < 2 * min_samples_leaf
-        or np.all(y == y[0])
-    ):
-        return TreeNode(value=value)
-    split = _best_split(X, y, w, min_samples_leaf)
-    if split is None:
-        return TreeNode(value=value)
-    feature, threshold = split
-    go_left = X[:, feature] < threshold
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_build_tree(
-            X[go_left], y[go_left], w[go_left], depth + 1, max_depth, min_samples_leaf
-        ),
-        right=_build_tree(
-            X[~go_left], y[~go_left], w[~go_left], depth + 1, max_depth, min_samples_leaf
-        ),
-    )
+) -> RegressionTree:
+    nodes: list[list[Any]] = []  # [feature, threshold, left, right, value], preorder
+
+    def grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, depth: int) -> None:
+        node = len(nodes)
+        value = _weighted_mean(y, w)
+        split = None
+        if not (
+            (max_depth is not None and depth >= max_depth)
+            or len(y) < 2 * min_samples_leaf
+            or np.all(y == y[0])
+        ):
+            split = _best_split(X, y, w, min_samples_leaf)
+        if split is None:
+            nodes.append([-1, -math.inf, node, node, value])
+            return
+        feature, threshold = split
+        nodes.append([feature, threshold, node + 1, -1, math.nan])
+        go_left = X[:, feature] < threshold
+        grow(X[go_left], y[go_left], w[go_left], depth + 1)
+        nodes[node][3] = len(nodes)  # the right subtree starts here
+        grow(X[~go_left], y[~go_left], w[~go_left], depth + 1)
+
+    grow(X, y, w, 0)
+    return RegressionTree(*map(tuple, zip(*nodes)), X.shape[1], max_depth, min_samples_leaf)
 
 
 def fit_tree(
@@ -262,37 +254,42 @@ def fit_tree(
     if min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be at least 1")
     w = data.weights if data.weights is not None else np.ones(len(data))
-    root = _build_tree(data.features, data.targets, w, 0, max_depth, min_samples_leaf)
-    return RegressionTree(root, len(data.feature_names), max_depth, min_samples_leaf)
+    return _build_tree(data.features, data.targets, w, max_depth, min_samples_leaf)
+
+
+def _walk(tree: RegressionTree, x: list[float]) -> float:
+    feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+    node = 0
+    while feature[node] >= 0:
+        node = left[node] if x[feature[node]] < threshold[node] else right[node]
+    return tree.value[node]
 
 
 def predict_tree(tree: RegressionTree, x: Sequence[float]) -> float:
     """Predict one feature vector."""
     if len(x) != tree.n_features:
         raise ValueError(f"expected {tree.n_features} features, got {len(x)}")
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if x[node.feature] < node.threshold else node.right
-    return node.value
+    return _walk(tree, np.asarray(x, dtype=np.float64).tolist())
 
 
 def predict_tree_batch(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    """Predict a feature matrix, one value per row."""
+    """Predict a feature matrix, one value per row, descending level by level.
+
+    A row stays on its leaf: x < -inf is false and a leaf's right child is itself.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.n_features:
         raise ValueError(f"expected an (n, {tree.n_features}) feature matrix")
-    out = np.empty(X.shape[0], dtype=np.float64)
-
-    def route(node: TreeNode, idx: np.ndarray) -> None:
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        go_left = X[idx, node.feature] < node.threshold
-        route(node.left, idx[go_left])
-        route(node.right, idx[~go_left])
-
-    route(tree.root, np.arange(X.shape[0]))
-    return out
+    row_start = np.arange(X.shape[0]) * X.shape[1]  # X.take indexes the flattened rows
+    feature = np.maximum(np.array(tree.feature, dtype=np.intp), 0)  # leaves read column 0
+    threshold = np.array(tree.threshold)
+    # children[2 * node + 1] is taken where x < threshold, so NaN goes right.
+    children = np.array([tree.right, tree.left], dtype=np.intp).T.ravel()
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    for _ in range(tree.depth()):
+        goes_left = X.take(feature.take(node) + row_start) < threshold.take(node)
+        node = children.take(2 * node + goes_left)
+    return np.array(tree.value).take(node)
 
 
 # ----- boosted ensemble -----------------------------------------------------
@@ -343,8 +340,7 @@ def fit_boosted(
     for _ in range(n_estimators):
         sample_weight = sample_weight / sample_weight.sum()
         bootstrap = rng.choice(n, size=n, replace=True, p=sample_weight)
-        root = _build_tree(X[bootstrap], y[bootstrap], unit, 0, max_depth, min_samples_leaf)
-        tree = RegressionTree(root, len(data.feature_names), max_depth, min_samples_leaf)
+        tree = _build_tree(X[bootstrap], y[bootstrap], unit, max_depth, min_samples_leaf)
         error_vect = np.abs(predict_tree_batch(tree, X) - y)
         error_max = error_vect.max()
         if error_max > 0:
@@ -380,8 +376,15 @@ def _weighted_median_columns(predictions: np.ndarray, weights: np.ndarray) -> np
 
 
 def predict_boosted(model: BoostedModel, x: Sequence[float]) -> float:
-    """Predict one feature vector as the weighted median of stage outputs."""
-    return float(predict_boosted_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0])
+    """Predict one feature vector: one root-to-leaf walk per tree, combined
+    exactly as in `predict_boosted_batch`, so both give the same bits."""
+    row = np.asarray(x, dtype=np.float64)
+    if row.shape != (len(model.feature_names),):
+        raise ValueError(f"expected {len(model.feature_names)} features, got shape {row.shape}")
+    row_list = row.tolist()
+    predictions = np.array([[_walk(s.tree, row_list)] for s in model.stages])
+    weights = np.array([s.weight for s in model.stages])
+    return float(_weighted_median_columns(predictions, weights)[0])
 
 
 def predict_boosted_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:
@@ -431,14 +434,7 @@ def _make_fitter(
 ) -> Callable[[Dataset, np.random.Generator], Callable[[np.ndarray], np.ndarray]]:
     if model_kind == "boosted":
         def fit(train: Dataset, fold_rng: np.random.Generator):
-            model = fit_boosted(
-                train,
-                fold_rng,
-                n_estimators=hyper.n_estimators,
-                max_depth=hyper.max_depth,
-                min_samples_leaf=hyper.min_samples_leaf,
-                learning_rate=hyper.learning_rate,
-            )
+            model = fit_boosted(train, fold_rng, **asdict(hyper))
             return lambda X: predict_boosted_batch(model, X)
     elif model_kind == "tree":
         def fit(train: Dataset, fold_rng: np.random.Generator):
@@ -498,31 +494,52 @@ def split_train_test(
 # ----- persistence -----------------------------------------------------------
 
 
-def _node_to_dict(node: TreeNode) -> dict[str, Any]:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def _tree_to_dict(tree: RegressionTree) -> dict[str, Any]:
+    """The nested v1 form: {"value"} leaves, {"feature", "threshold", "left", "right"} splits."""
+    docs: list[dict[str, Any]] = [{}] * len(tree.feature)
+    for node in reversed(range(len(tree.feature))):  # children before parents
+        if tree.feature[node] < 0:
+            docs[node] = {"value": tree.value[node]}
+        else:
+            docs[node] = {
+                "feature": tree.feature[node],
+                "threshold": tree.threshold[node],
+                "left": docs[tree.left[node]],
+                "right": docs[tree.right[node]],
+            }
+    return docs[0]
 
 
-def _node_from_dict(doc: Any) -> TreeNode:
-    if not isinstance(doc, dict):
-        raise ModelFormatError("tree node must be a mapping")
-    if "value" in doc:
-        return TreeNode(value=float(doc["value"]))
-    try:
-        return TreeNode(
-            feature=int(doc["feature"]),
-            threshold=float(doc["threshold"]),
-            left=_node_from_dict(doc["left"]),
-            right=_node_from_dict(doc["right"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed tree node: {exc}") from exc
+def _finite(raw: Any, what: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ModelFormatError(f"{what} {value!r} is not finite")
+    return value
+
+
+def _tree_from_dict(doc: Any, n_features: int, hyper: Hyperparameters) -> RegressionTree:
+    """Lay a nested v1 tree out in preorder; its child indices form a tree by construction."""
+    nodes: list[list[Any]] = []
+    pending: list[tuple[Any, int]] = [(doc, -1)]  # (node, parent it is the right child of)
+    while pending:
+        node_doc, parent = pending.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = node
+        if not isinstance(node_doc, dict):
+            raise ModelFormatError("tree node must be a mapping")
+        if "value" in node_doc:
+            nodes.append([-1, -math.inf, node, node, _finite(node_doc["value"], "leaf value")])
+            continue
+        feature = int(node_doc["feature"])
+        if not 0 <= feature < n_features:
+            raise ModelFormatError(f"split feature {feature} is outside [0, {n_features})")
+        threshold = _finite(node_doc["threshold"], "split threshold")
+        nodes.append([feature, threshold, node + 1, -1, math.nan])
+        pending += [(node_doc["right"], node), (node_doc["left"], -1)]
+    return RegressionTree(
+        *map(tuple, zip(*nodes)), n_features, hyper.max_depth, hyper.min_samples_leaf
+    )
 
 
 def model_to_dict(model: BoostedModel) -> dict[str, Any]:
@@ -533,7 +550,7 @@ def model_to_dict(model: BoostedModel) -> dict[str, Any]:
         "loss": model.loss,
         "hyperparameters": asdict(model.hyperparameters),
         "stages": [
-            {"weight": s.weight, "tree": _node_to_dict(s.tree.root)}
+            {"weight": s.weight, "tree": _tree_to_dict(s.tree)}
             for s in model.stages
         ],
     }
@@ -549,13 +566,8 @@ def model_from_dict(doc: Any) -> BoostedModel:
         hyper = Hyperparameters(**doc["hyperparameters"])
         stages = tuple(
             BoostStage(
-                RegressionTree(
-                    _node_from_dict(entry["tree"]),
-                    len(feature_names),
-                    hyper.max_depth,
-                    hyper.min_samples_leaf,
-                ),
-                float(entry["weight"]),
+                _tree_from_dict(entry["tree"], len(feature_names), hyper),
+                _finite(entry["weight"], "stage weight"),
             )
             for entry in doc["stages"]
         )
@@ -582,6 +594,6 @@ def load_model(path: str) -> BoostedModel:
             doc = json.load(handle)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     return model_from_dict(doc)

@@ -7,6 +7,7 @@ import pytest
 
 from heterotune import (
     AnnealParams,
+    Evaluator,
     SearchAborted,
     acceptance_probability,
     anneal,
@@ -305,6 +306,23 @@ def test_evaluator_failure_carries_partial_trace():
     partial = excinfo.value.trace
     assert partial.evaluations_used == 10
     assert partial.winner_value is not None
+
+
+def test_nan_from_evaluator_aborts_with_partial_trace():
+    space = split_space()
+
+    class NanAfterTen(Evaluator):
+        def _evaluate(self, config):
+            if self.evaluation_count > 10:
+                return float("nan")
+            return float(config["CPU-W"])
+
+    with pytest.raises(SearchAborted, match="nan") as excinfo:
+        anneal(space, NanAfterTen(), AnnealParams(seed=37))
+    partial = excinfo.value.trace
+    assert partial.evaluations_used == 10
+    assert math.isfinite(partial.winner_value)
+    assert all(math.isfinite(step.value) for step in partial.steps)
 
 
 # ----- trace export -----------------------------------------------------------------

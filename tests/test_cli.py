@@ -292,6 +292,60 @@ def test_exit_3_on_malformed_model(capsys, tmp_path):
     assert "data error" in err
 
 
+def train_ida_model(capsys, tmp_path):
+    log = tmp_path / "ida.csv"
+    model = tmp_path / "model.json"
+    run(capsys, "gen", "--space", "ida", "--oracle", "ida-pcc", "--out", str(log))
+    run(
+        capsys,
+        "train", "--space", "ida", "--log", str(log), "--out", str(model),
+        "--validation", "none", "--trees", "3",
+    )
+    return model
+
+
+def corrupt_root_split(model, key, value):
+    """Overwrite one field of the first stage's root split in a saved model."""
+    doc = json.loads(model.read_text())
+    root = doc["stages"][0]["tree"]
+    assert "feature" in root
+    root[key] = value
+    model.write_text(json.dumps(doc))
+
+
+def test_exit_3_on_out_of_range_feature(capsys, tmp_path):
+    model = train_ida_model(capsys, tmp_path)
+    corrupt_root_split(model, "feature", 7)
+    code, _, err = run(
+        capsys,
+        "predict", "--space", "ida", "--model", str(model), "--config", "CPU-W=5",
+    )
+    assert code == 3
+    assert "data error" in err
+    assert "split feature 7" in err
+
+
+def test_exit_3_on_nan_threshold(capsys, tmp_path):
+    model = train_ida_model(capsys, tmp_path)
+    corrupt_root_split(model, "threshold", float("nan"))
+    code, _, err = run(
+        capsys,
+        "predict", "--space", "ida", "--model", str(model), "--config", "CPU-W=5",
+    )
+    assert code == 3
+    assert "data error" in err
+    assert "not finite" in err
+
+
+def test_predict_space_mismatch_is_usage_error(capsys, tmp_path):
+    model = train_ida_model(capsys, tmp_path)
+    code, _, err = run(
+        capsys, "predict", "--space", "emil", "--model", str(model), "--all"
+    )
+    assert code == 1
+    assert "do not match" in err
+
+
 def test_exit_3_on_malformed_space_yaml(capsys, tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("parameters: [unclosed\n")

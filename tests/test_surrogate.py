@@ -1,5 +1,8 @@
 """Regression trees, boosting, scoring, validation, and model persistence."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,13 @@ from heterotune import (
     Dataset,
     Hyperparameters,
     ModelFormatError,
+    PatternMatchOracle,
     UndefinedScoreError,
+    bundled_space,
+    dataset_from_measurements,
     fit_boosted,
     fit_tree,
+    gen_dataset,
     kfold_cv,
     kfold_indices,
     load_model,
@@ -78,7 +85,7 @@ def test_depth_one_split_between_clusters():
     data = dataset([([0.0], 1.0), ([1.0], 1.0), ([10.0], 9.0), ([11.0], 9.0)])
     tree = fit_tree(data, max_depth=1, min_samples_leaf=1)
     assert tree.depth() == 1
-    threshold = tree.root.threshold
+    threshold = tree.threshold[0]
     assert 1.0 < threshold < 10.0
     assert predict_tree(tree, [0.0]) == 1.0
     assert predict_tree(tree, [11.0]) == 9.0
@@ -99,7 +106,7 @@ def test_empty_dataset_rejected():
 def test_value_at_threshold_goes_right():
     data = dataset([([0.0], 1.0), ([1.0], 1.0), ([10.0], 9.0), ([11.0], 9.0)])
     tree = fit_tree(data, max_depth=1, min_samples_leaf=1)
-    assert predict_tree(tree, [tree.root.threshold]) == 9.0
+    assert predict_tree(tree, [tree.threshold[0]]) == 9.0
 
 
 def test_predict_tree_arity_mismatch():
@@ -133,15 +140,39 @@ def test_min_samples_leaf_respected():
     data = random_dataset(rng, n=50, d=2)
 
     def leaf_sizes(node, idx):
-        if node.is_leaf:
+        feature = tree.feature[node]
+        if feature < 0:
             return [len(idx)]
         X = data.features[idx]
-        left = idx[X[:, node.feature] < node.threshold]
-        right = idx[X[:, node.feature] >= node.threshold]
-        return leaf_sizes(node.left, left) + leaf_sizes(node.right, right)
+        left = idx[X[:, feature] < tree.threshold[node]]
+        right = idx[X[:, feature] >= tree.threshold[node]]
+        return leaf_sizes(tree.left[node], left) + leaf_sizes(tree.right[node], right)
 
     tree = fit_tree(data, max_depth=None, min_samples_leaf=7)
-    assert min(leaf_sizes(tree.root, np.arange(len(data)))) >= 7
+    assert min(leaf_sizes(0, np.arange(len(data)))) >= 7
+
+
+def test_tree_arrays_are_preorder_with_self_looping_leaves():
+    rng = np.random.default_rng(19)
+    data = random_dataset(rng, n=120, d=3)
+    tree = fit_tree(data, max_depth=5, min_samples_leaf=2)
+    n = len(tree.feature)
+    assert all(len(a) == n for a in (tree.threshold, tree.left, tree.right, tree.value))
+    parents = [0] * n
+    for node in range(n):
+        if tree.feature[node] < 0:
+            assert tree.threshold[node] == -math.inf
+            assert tree.left[node] == tree.right[node] == node
+            assert math.isfinite(tree.value[node])
+        else:
+            assert 0 <= tree.feature[node] < tree.n_features
+            assert tree.left[node] == node + 1 < tree.right[node] < n
+            assert math.isnan(tree.value[node])
+            parents[tree.left[node]] += 1
+            parents[tree.right[node]] += 1
+    assert parents == [0] + [1] * (n - 1)
+    assert tree.leaf_count() == tree.feature.count(-1) == (n + 1) // 2
+    assert 1 <= tree.depth() <= 5
 
 
 def test_depth_limit_respected():
@@ -256,6 +287,49 @@ def test_predict_boosted_arity_mismatch():
     model = fit_boosted(data, np.random.default_rng(0), n_estimators=2, max_depth=1)
     with pytest.raises(ValueError):
         predict_boosted(model, [0.0, 1.0])
+
+
+# ----- pinned emil model ----------------------------------------------------------
+
+#: SHA-256 of model_to_json for the model below, recorded with the recursive
+#: node-object trees that the flat arrays replaced.
+EMIL_MODEL_SHA256 = "98e67d4392c7c08e68d82a996ef3cba97e01d14cd67c9dd4cdf6866f12909525"
+
+
+@pytest.fixture(scope="module")
+def small_emil_model():
+    emil = bundled_space("emil")
+    rows = gen_dataset(emil, PatternMatchOracle(), sample=400, seed=3)
+    data = dataset_from_measurements(emil, rows)
+    model = fit_boosted(data, np.random.default_rng(11), n_estimators=8, max_depth=6)
+    return emil, model
+
+
+def test_emil_model_bytes_pinned(small_emil_model):
+    _, model = small_emil_model
+    assert len(model.stages) == 8
+    digest = hashlib.sha256(model_to_json(model).encode("utf-8")).hexdigest()
+    assert digest == EMIL_MODEL_SHA256
+
+
+def test_one_row_predict_matches_batch_bit_for_bit(small_emil_model):
+    emil, model = small_emil_model
+    configs = np.array([emil.encode(c) for c in emil.enumerate_all()], dtype=np.float64)
+    # Off-grid rows too, and rows exactly on every split threshold.
+    rng = np.random.default_rng(20)
+    lows, highs = configs.min(axis=0), configs.max(axis=0)
+    off_grid = rng.uniform(lows - 1.0, highs + 1.0, size=(500, configs.shape[1]))
+    on_threshold = []
+    for stage in model.stages:
+        for node, feature in enumerate(stage.tree.feature):
+            if feature >= 0:
+                row = configs[node % len(configs)].copy()
+                row[feature] = stage.tree.threshold[node]
+                on_threshold.append(row)
+    grid = np.vstack([configs, off_grid, np.array(on_threshold)])
+    batch = predict_boosted_batch(model, grid)
+    one_row = np.array([predict_boosted(model, row) for row in grid])
+    assert np.array_equal(one_row, batch)
 
 
 # ----- r2_score -------------------------------------------------------------------
@@ -421,3 +495,67 @@ def test_model_format_error_on_garbage(tmp_path):
 def test_model_format_error_on_missing_fields():
     with pytest.raises(ModelFormatError):
         model_from_dict({"feature_names": ["a"]})
+
+
+def small_model_doc():
+    rng = np.random.default_rng(21)
+    data = random_dataset(rng, n=60, d=2)
+    model = fit_boosted(data, np.random.default_rng(0), n_estimators=3, max_depth=3)
+    return model_to_dict(model)
+
+
+def first_node(doc, leaf):
+    node = doc["stages"][0]["tree"]
+    while ("value" in node) != leaf:
+        node = node["left"]
+    return node
+
+
+@pytest.mark.parametrize(
+    "leaf, key, bad",
+    [
+        (False, "feature", 2),
+        (False, "feature", 7),
+        (False, "feature", -1),
+        (False, "threshold", float("nan")),
+        (False, "threshold", float("inf")),
+        (True, "value", float("nan")),
+        (True, "value", float("-inf")),
+    ],
+)
+def test_model_from_dict_rejects_bad_node(leaf, key, bad):
+    doc = small_model_doc()
+    first_node(doc, leaf)[key] = bad
+    with pytest.raises(ModelFormatError):
+        model_from_dict(doc)
+
+
+def test_model_from_dict_rejects_non_finite_stage_weight():
+    doc = small_model_doc()
+    doc["stages"][1]["weight"] = float("nan")
+    with pytest.raises(ModelFormatError):
+        model_from_dict(doc)
+
+
+def test_model_from_dict_rejects_non_mapping_child():
+    doc = small_model_doc()
+    first_node(doc, leaf=False)["right"] = [1.0]
+    with pytest.raises(ModelFormatError):
+        model_from_dict(doc)
+
+
+
+def test_load_model_rejects_too_deeply_nested_tree(tmp_path):
+    depth = 100_000  # far past the JSON decoder's recursion limit
+    tree = (
+        '{"feature": 0, "threshold": 0.5, "left": ' * depth
+        + '{"value": 1.0}'
+        + ', "right": {"value": 2.0}}' * depth
+    )
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"format": "boosted-regression-tree", "version": 1, '
+        f'"stages": [{{"weight": 1.0, "tree": {tree}}}]}}'
+    )
+    with pytest.raises(ModelFormatError):
+        load_model(path)
