@@ -20,7 +20,9 @@ import numpy as np
 
 from . import metrics
 from .annealing import AnnealParams, SearchStep, SearchTrace, anneal
-from .metrics import RawMeasurement, read_measurement_log, write_measurement_log
+from .metrics import (
+    MeasurementLogError, RawMeasurement, read_measurement_log, write_measurement_log,
+)
 from .space import Configuration, ParameterSpace
 from .surrogate import (
     BoostedModel,
@@ -378,10 +380,11 @@ def train_model(
     """
     scheme, argument = parse_validation_spec(validation)
     rows = read_measurement_log(log_path, space)
-    if len(rows) < MIN_TRAINING_ROWS:
-        raise ValueError(
+    if len(rows) < MIN_TRAINING_ROWS:  # a data problem in the log, not a usage error
+        raise MeasurementLogError(
             f"training needs at least {MIN_TRAINING_ROWS} measurement rows, "
-            f"got {len(rows)}"
+            f"got {len(rows)}",
+            line_number=0,
         )
     data = dataset_from_measurements(space, rows)
     hyper = hyper or Hyperparameters()

@@ -6,9 +6,9 @@ squared errors over (feature, midpoint-threshold) candidates; stage weights
 are log(1/beta) with beta derived from the max-normalized linear loss, and
 prediction is the weighted median of the stage predictions.
 
-Tree fitting is deterministic and invariant to row order: candidate splits
-are evaluated in a canonical per-node ordering and ties are broken by the
-lowest feature index, then the lowest threshold.
+Trees grow a depth at a time, deterministically and invariant to row order:
+candidate splits are evaluated in a canonical per-node ordering and ties are
+broken by the lowest feature index, then the lowest threshold.
 """
 from __future__ import annotations
 
@@ -147,102 +147,101 @@ class RegressionTree:
         return self.feature.count(-1)
 
 
-def _weighted_mean(y: np.ndarray, w: np.ndarray) -> float:
-    # fsum is order independent, which keeps leaf values identical under
-    # row permutations.
-    total = math.fsum(w)
-    if total > 0:
-        return math.fsum(w * y) / total
-    return math.fsum(y) / len(y)
+def _column_codes(X: np.ndarray) -> np.ndarray:
+    """Rank of each value within its column; equal values share a code."""
+    return np.column_stack([np.unique(column, return_inverse=True)[1] for column in X.T])
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, min_samples_leaf: int
-) -> tuple[int, float] | None:
-    """Find the (feature, threshold) minimizing child SSE, or None.
+def _level_splits(
+    X: np.ndarray, r: np.ndarray, codes: np.ndarray, yc: np.ndarray, w: np.ndarray,
+    nid: np.ndarray, counts: np.ndarray, min_samples_leaf: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best (feature, threshold) of each node of a depth, or (-1, -inf) where none.
 
-    Thresholds are midpoints between consecutive distinct feature values.
-    Ties are broken by the lowest feature index, then the lowest threshold.
+    Rows X[r] are node-major in nodes nid; yc = y - node mean keeps the sums well
+    conditioned. A node is searched as if alone: rows in (x, yc, w) order, sums
+    from its first row, then the lowest SSE, feature and midpoint threshold. Nodes
+    of one power-of-two padded width are searched as one matrix.
     """
-    n = len(y)
-    best_sse = math.inf
-    best: tuple[int, float] | None = None
-    center = _weighted_mean(y, w)
-    yc = y - center  # SSE is shift invariant; centering improves conditioning
-    for j in range(X.shape[1]):
-        xj = X[:, j]
-        # Canonical ordering makes the cumulative sums, and therefore the
-        # chosen split, independent of the input row order.
-        order = np.lexsort((w, yc, xj))
-        xs = xj[order]
-        ys = yc[order]
-        ws = w[order]
-        wy = ws * ys
-        cum_w = np.cumsum(ws)
-        cum_wy = np.cumsum(wy)
-        cum_wyy = np.cumsum(wy * ys)
-        i = np.arange(n - 1)
-        left_n = i + 1
-        valid = (
-            (xs[i] < xs[i + 1])
-            & (left_n >= min_samples_leaf)
-            & (n - left_n >= min_samples_leaf)
-        )
-        w_left = cum_w[i]
-        w_right = cum_w[-1] - w_left
-        valid &= (w_left > 0) & (w_right > 0)
-        if not np.any(valid):
-            continue
-        s_left = cum_wy[i]
-        q_left = cum_wyy[i]
-        s_right = cum_wy[-1] - s_left
-        q_right = cum_wyy[-1] - q_left
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sse = (q_left - s_left * s_left / w_left) + (
-                q_right - s_right * s_right / w_right
-            )
+    d, starts = X.shape[1], np.cumsum(counts) - counts
+    order = np.lexsort((w, yc, nid))
+    # A stable sort on (node, code) keeps the (yc, w) order among equal codes.
+    keys = nid * (int(codes.max(initial=0)) + 1) + codes[order].T
+    keys = keys.astype(np.uint16) if keys.max(initial=0) < 2**16 else keys  # radix-sortable
+    perm = order[np.argsort(keys, axis=1, kind="stable")]
+    stats = np.stack([w, w * yc, w * yc * yc])
+    width = np.array([1 << (c - 1).bit_length() for c in counts.tolist()])
+    node_sse, node_k = np.empty((d, len(counts))), np.empty((d, len(counts)), dtype=np.intp)
+    for W in np.unique(width).tolist():
+        nodes = np.flatnonzero(width == W)
+        n, i = counts[nodes][:, None], np.arange(W)
+        # (d, nodes, W); positions past a node's last row are masked out below.
+        pos = perm.take(starts[nodes][:, None] + i, axis=1, mode="clip")
+        cum = np.cumsum(stats.take(pos, axis=1), axis=3)
+        code = codes.take(pos * d + np.arange(d)[:, None, None])
+        w_left, s_left, q_left = cum[..., :-1]
+        total = cum[:, :, np.arange(len(nodes))[:, None], n - 1]  # at the node's last row
+        w_right, s_right, q_right = total - cum[..., :-1]
+        valid = (code[..., :-1] < code[..., 1:]) & (w_left > 0) & (w_right > 0) & (
+            (i[1:] >= min_samples_leaf) & (n - i[1:] >= min_samples_leaf))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sse = (q_left - s_left * s_left / w_left) + (q_right - s_right * s_right / w_right)
         sse = np.where(valid, sse, math.inf)
-        k = int(np.argmin(sse))  # first minimum: lowest threshold wins
-        if sse[k] < best_sse:
-            threshold = (xs[k] + xs[k + 1]) / 2.0
-            if threshold <= xs[k]:  # guard against midpoint rounding down
-                threshold = float(xs[k + 1])
-            best_sse = float(sse[k])
-            best = (j, float(threshold))
-    return best
+        # argmin takes the first minimum, the lowest threshold; min keeps a NaN.
+        node_k[:, nodes], node_sse[:, nodes] = sse.argmin(axis=2), sse.min(axis=2)
+    node_sse[np.isnan(node_sse)] = math.inf  # a NaN never wins, as under `<`
+    feature = np.where(node_sse.min(axis=0) < math.inf, node_sse.argmin(axis=0), -1)
+    j = np.maximum(feature, 0)
+    at = starts + node_k[j, np.arange(len(counts))]
+    lo, hi = X[r[perm[j, at]], j], X[r[perm[j, at + 1]], j]  # the values either side of the cut
+    mid = (lo + hi) / 2.0  # replaced by hi where it rounds down to lo
+    return feature, np.where(feature < 0, -math.inf, np.where(mid <= lo, hi, mid))
 
 
 def _build_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    max_depth: int | None,
-    min_samples_leaf: int,
+    X: np.ndarray, y: np.ndarray, w: np.ndarray, codes: np.ndarray, rows: np.ndarray,
+    max_depth: int | None, min_samples_leaf: int,
 ) -> RegressionTree:
-    nodes: list[list[Any]] = []  # [feature, threshold, left, right, value], preorder
+    """Grow a tree on X[rows], row rows[i] weighing w[i], one depth at a time.
 
-    def grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, depth: int) -> None:
-        node = len(nodes)
-        value = _weighted_mean(y, w)
-        split = None
-        if not (
-            (max_depth is not None and depth >= max_depth)
-            or len(y) < 2 * min_samples_leaf
-            or np.all(y == y[0])
-        ):
-            split = _best_split(X, y, w, min_samples_leaf)
-        if split is None:
-            nodes.append([-1, -math.inf, node, node, value])
-            return
-        feature, threshold = split
-        nodes.append([feature, threshold, node + 1, -1, math.nan])
-        go_left = X[:, feature] < threshold
-        grow(X[go_left], y[go_left], w[go_left], depth + 1)
-        nodes[node][3] = len(nodes)  # the right subtree starts here
-        grow(X[~go_left], y[~go_left], w[~go_left], depth + 1)
-
-    grow(X, y, w, 0)
-    return RegressionTree(*map(tuple, zip(*nodes)), X.shape[1], max_depth, min_samples_leaf)
+    codes is `_column_codes(X)`. Breadth-first ids, where a split's children are
+    left and left + 1, are relabelled in preorder at the end.
+    """
+    levels, first = [], 0  # per depth: feature, threshold, value, left; next depth's first id
+    at, nid = np.arange(len(rows)), np.zeros(len(rows), dtype=np.intp)  # node-major
+    while len(at):
+        r = rows[at]
+        yr, wr, counts = y[r], w[at], np.bincount(nid)
+        starts = np.cumsum(counts) - counts
+        y_l, wy_l, w_l = yr.tolist(), (wr * yr).tolist(), wr.tolist()
+        bounds = list(zip(starts.tolist(), (starts + counts).tolist()))
+        total = [math.fsum(w_l[a:b]) for a, b in bounds]  # fsum is exact: row order is moot
+        center = [math.fsum(wy_l[a:b]) / t if t > 0 else math.fsum(y_l[a:b]) / (b - a)
+                  for (a, b), t in zip(bounds, total)]
+        open_ = (counts >= 2 * min_samples_leaf) & (max_depth is None or len(levels) < max_depth)
+        open_ &= np.minimum.reduceat(yr, starts) < np.maximum.reduceat(yr, starts)
+        split, cut, keep = np.full(len(counts), -1), np.full(len(counts), -math.inf), open_[nid]
+        split[open_], cut[open_] = _level_splits(
+            X, r[keep], codes[r[keep]], yr[keep] - np.array(center)[nid[keep]], wr[keep],
+            (np.cumsum(open_) - 1)[nid[keep]], counts[open_], min_samples_leaf)
+        rank = np.cumsum(split >= 0) - 1
+        first += len(counts)
+        levels.append((split, cut, np.where(split >= 0, math.nan, center), first + 2 * rank))
+        at, nid = at[split[nid] >= 0], nid[split[nid] >= 0]
+        nid = 2 * rank[nid] + ~(X[rows[at], split[nid]] < cut[nid])  # children, breadth-first
+        at, nid = at[np.argsort(nid, kind="stable")], np.sort(nid, kind="stable")
+    feature, threshold, value, left = (np.concatenate(a).tolist() for a in zip(*levels))
+    order, stack = [], [0]
+    while stack:  # preorder: a node, its left subtree, then its right subtree
+        order.append(stack.pop())
+        if feature[order[-1]] >= 0:
+            stack += [left[order[-1]] + 1, left[order[-1]]]
+    pre = {node: i for i, node in enumerate(order)}
+    nodes = [
+        (feature[b], threshold[b], pre[left[b]], pre[left[b] + 1], value[b]) if feature[b] >= 0
+        else (-1, -math.inf, i, i, value[b]) for i, b in enumerate(order)
+    ]
+    return RegressionTree(*zip(*nodes), X.shape[1], max_depth, min_samples_leaf)
 
 
 def fit_tree(
@@ -254,7 +253,8 @@ def fit_tree(
     if min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be at least 1")
     w = data.weights if data.weights is not None else np.ones(len(data))
-    return _build_tree(data.features, data.targets, w, max_depth, min_samples_leaf)
+    codes, rows = _column_codes(data.features), np.arange(len(data))
+    return _build_tree(data.features, data.targets, w, codes, rows, max_depth, min_samples_leaf)
 
 
 def _walk(tree: RegressionTree, x: list[float]) -> float:
@@ -335,12 +335,12 @@ def fit_boosted(
         sample_weight = data.weights / data.weights.sum()
     else:
         sample_weight = np.full(n, 1.0 / n)
-    unit = np.ones(n)
+    unit, codes = np.ones(n), _column_codes(X)
     stages: list[BoostStage] = []
     for _ in range(n_estimators):
         sample_weight = sample_weight / sample_weight.sum()
         bootstrap = rng.choice(n, size=n, replace=True, p=sample_weight)
-        tree = _build_tree(X[bootstrap], y[bootstrap], unit, max_depth, min_samples_leaf)
+        tree = _build_tree(X, y, unit, codes, bootstrap, max_depth, min_samples_leaf)
         error_vect = np.abs(predict_tree_batch(tree, X) - y)
         error_max = error_vect.max()
         if error_max > 0:

@@ -281,6 +281,17 @@ def test_exit_3_on_malformed_log(capsys, tmp_path):
     assert "data error" in err
 
 
+@pytest.mark.parametrize("data_rows", [0, 3])
+def test_exit_3_on_too_short_log(capsys, tmp_path, data_rows):
+    log = tmp_path / "ida.csv"
+    run(capsys, "gen", "--space", "ida", "--oracle", "ida-pcc", "--out", str(log))
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(lines[: 1 + data_rows]))
+    code, _, err = run(capsys, "train", "--space", "ida", "--log", str(log))
+    assert code == 3
+    assert f"at least 10 measurement rows, got {data_rows}" in err
+
+
 def test_exit_3_on_malformed_model(capsys, tmp_path):
     model = tmp_path / "model.json"
     model.write_text('{"not": "a model"}')

@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference_tree
 from heterotune import (
     Dataset,
     Hyperparameters,
@@ -31,6 +33,7 @@ from heterotune import (
     save_model,
     split_train_test,
 )
+from heterotune.surrogate import _build_tree, _column_codes
 
 
 def dataset(rows, feature_names=None):
@@ -124,15 +127,86 @@ def test_fully_grown_tree_memorizes_training_rows():
     assert np.allclose(predictions, data.targets, rtol=0, atol=1e-12)
 
 
-def test_tree_invariant_to_row_order():
+def emil_rows_with_ties(rng):
+    """Emil rows drawn with replacement and weighted 0.5, 1 or 2: ties in x, y and w."""
+    emil = bundled_space("emil")
+    rows = gen_dataset(emil, PatternMatchOracle(), sample=150, seed=4)
+    data = dataset_from_measurements(emil, rows)
+    pick = rng.choice(len(data), size=300)
+    weights = rng.choice([0.5, 1.0, 2.0], size=300)
+    return Dataset(data.feature_names, data.features[pick], data.targets[pick], weights)
+
+
+@pytest.mark.parametrize(
+    "make_data",
+    [lambda rng: random_dataset(rng, n=100, d=3), emil_rows_with_ties],
+    ids=["continuous", "emil-ties"],
+)
+def test_tree_invariant_to_row_order(make_data):
     rng = np.random.default_rng(1)
-    data = random_dataset(rng, n=100, d=3)
+    data = make_data(rng)
     perm = rng.permutation(len(data))
-    shuffled = Dataset(data.feature_names, data.features[perm], data.targets[perm])
+    weights = None if data.weights is None else data.weights[perm]
+    shuffled = Dataset(data.feature_names, data.features[perm], data.targets[perm], weights)
     t1 = fit_tree(data, max_depth=4, min_samples_leaf=2)
     t2 = fit_tree(shuffled, max_depth=4, min_samples_leaf=2)
-    grid = rng.uniform(-5, 5, size=(500, 3))
+    grid = np.vstack([rng.uniform(-5, 5, size=(500, data.features.shape[1])), data.features])
     assert np.array_equal(predict_tree_batch(t1, grid), predict_tree_batch(t2, grid))
+
+
+def assert_same_tree(tree, reference):
+    for name in ("feature", "left", "right"):
+        assert getattr(tree, name) == getattr(reference, name), name
+    for name in ("threshold", "value"):
+        assert np.array_equal(
+            getattr(tree, name), getattr(reference, name), equal_nan=True
+        ), name
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 2, 7])
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 8])
+def test_level_wise_tree_matches_recursive_reference(emil_data, max_depth, min_samples_leaf):
+    # Emil bootstraps as boosting draws them: duplicate rows, passed by index into
+    # the full matrix, with unit weights. Then with weights 0.5, 1 and 2, so that
+    # rows tie in x and y but not in w. Emil's CPU-W and ACC-W = 100 - CPU-W give
+    # splits of equal SSE up to rounding, so summing in another order shows.
+    _, data = emil_data
+    X, y = data.features, data.targets
+    rng = np.random.default_rng(100 + min_samples_leaf)
+    for w in [np.ones(len(y))] * 2 + [rng.choice([0.5, 1.0, 2.0], size=len(y))] * 2:
+        rows = rng.choice(len(y), size=len(y))
+        tree = _build_tree(X, y, w, _column_codes(X), rows, max_depth, min_samples_leaf)
+        assert_same_tree(
+            tree, reference_tree._build_tree(X[rows], y[rows], w, max_depth, min_samples_leaf)
+        )
+    # Continuous rows with random weights, some of them zero.
+    X = rng.uniform(-5.0, 5.0, size=(300, 4))
+    y = X[:, 0] ** 2 - 3.0 * X[:, 3] + np.sin(X).sum(axis=1)
+    w = np.where(rng.random(300) < 0.2, 0.0, rng.uniform(0.1, 3.0, size=300))
+    tree = fit_tree(Dataset(("a", "b", "c", "d"), X, y, w), max_depth, min_samples_leaf)
+    assert_same_tree(tree, reference_tree._build_tree(X, y, w, max_depth, min_samples_leaf))
+
+
+def test_skewed_tree_memory_stays_bounded():
+    # One large node beside many small ones at the same depth. Rows with x0 = 0
+    # share x1 = 0 except 40 of them, which are peeled off a few per depth, so a
+    # node of about 1960 rows is still split at depth 8; rows with x0 = 1 have
+    # distinct x1 and noisy targets, and split into 28 nodes of at most 773 rows there.
+    rng = np.random.default_rng(0)
+    n = 2000
+    x1 = np.concatenate([np.zeros(n - 40), np.arange(1.0, 41.0), rng.permutation(n)])
+    X = np.column_stack([np.repeat([0.0, 1.0], n), x1])
+    y = np.concatenate([rng.normal(size=n), 100.0 + rng.normal(size=n)])
+    data = Dataset(("x0", "x1"), X, y)
+    fit_tree(data, max_depth=None, min_samples_leaf=1)  # one-time allocations are not the fit's
+    tracemalloc.start()
+    try:
+        fit_tree(data, max_depth=None, min_samples_leaf=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Measured: 1.8 MiB; with every node of a depth padded to its largest node, 13.9 MiB.
+    assert peak < 4 * 2**20
 
 
 def test_min_samples_leaf_respected():
@@ -297,10 +371,15 @@ EMIL_MODEL_SHA256 = "98e67d4392c7c08e68d82a996ef3cba97e01d14cd67c9dd4cdf6866f129
 
 
 @pytest.fixture(scope="module")
-def small_emil_model():
+def emil_data():
     emil = bundled_space("emil")
     rows = gen_dataset(emil, PatternMatchOracle(), sample=400, seed=3)
-    data = dataset_from_measurements(emil, rows)
+    return emil, dataset_from_measurements(emil, rows)
+
+
+@pytest.fixture(scope="module")
+def small_emil_model(emil_data):
+    emil, data = emil_data
     model = fit_boosted(data, np.random.default_rng(11), n_estimators=8, max_depth=6)
     return emil, model
 
