@@ -78,13 +78,21 @@ class SearchStep:
 
 @dataclass(frozen=True)
 class SearchTrace:
-    """Complete record of one annealing run."""
+    """Complete record of one annealing run.
+
+    `evaluations` holds each distinct configuration evaluated, with its
+    value, in first-evaluation order.
+    """
 
     steps: tuple[SearchStep, ...]
     seed_evaluations: tuple[tuple[Configuration, float], ...]
     winner_config: Configuration | None
     winner_value: float | None
-    evaluations_used: int
+    evaluations: tuple[tuple[Configuration, float], ...]
+
+    @property
+    def evaluations_used(self) -> int:
+        return len(self.evaluations)
 
 
 def acceptance_probability(
@@ -141,21 +149,22 @@ def anneal(space: ParameterSpace, evaluator: Any, params: AnnealParams) -> Searc
     with the partial trace attached to the raised SearchAborted.
     """
     rng = random.Random(params.seed)
-    cache: dict[tuple[Any, ...], float] = {}
+    cache: dict[tuple[Any, ...], tuple[Configuration, float]] = {}
     steps: list[SearchStep] = []
     seed_evaluations: list[tuple[Configuration, float]] = []
     winner: tuple[Configuration | None, float | None] = (None, None)
 
     def partial_trace() -> SearchTrace:
         return SearchTrace(
-            tuple(steps), tuple(seed_evaluations), winner[0], winner[1], len(cache)
+            tuple(steps), tuple(seed_evaluations), winner[0], winner[1],
+            tuple(cache.values()),
         )
 
     def evaluate(config: Configuration) -> tuple[float, bool]:
         """Returns (value, was_cached)."""
         key = space.config_key(config)
         if key in cache:
-            return cache[key], True
+            return cache[key][1], True
         try:
             value = float(evaluator.evaluate(config))
         except Exception as exc:
@@ -166,7 +175,7 @@ def anneal(space: ParameterSpace, evaluator: Any, params: AnnealParams) -> Searc
             raise SearchAborted(
                 f"evaluator returned {value!r} on {config!r}", partial_trace()
             )
-        cache[key] = value
+        cache[key] = (config, value)
         return value, False
 
     def observe(config: Configuration, value: float) -> None:

@@ -31,6 +31,7 @@ from .evaluators import (
 from .harness import (
     CampaignError,
     CampaignReport,
+    ReportFormatError,
     compare,
     compare_table,
     gen_dataset,
@@ -428,6 +429,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (
         MeasurementLogError,
         ModelFormatError,
+        ReportFormatError,
         SpaceDefinitionError,
         AmbiguousLogError,
         InvalidMeasurementError,

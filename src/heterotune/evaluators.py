@@ -1,8 +1,10 @@
 """Evaluation backends: surrogate model, replay, synthetic oracles, commands.
 
 Every evaluator maps a configuration to its energy efficiency in MB/J and
-keeps an atomic count of evaluate() calls. Deduplication of repeated
-configurations is the searcher's job, not the evaluator's.
+counts its evaluate() calls. The measuring evaluators (replay, oracles,
+commands) share measure(config) -> RawMeasurement, from which the base class
+derives MB/J. Deduplication of repeated configurations is the searcher's
+job, not the evaluator's.
 
 The synthetic oracles produce full raw measurements from closed-form cost
 models, so generated datasets replay to exactly the same efficiencies.
@@ -14,7 +16,6 @@ import math
 import re
 import shlex
 import subprocess
-import threading
 from typing import Any, Mapping
 
 from . import metrics
@@ -65,30 +66,17 @@ class CommandExecutionError(RuntimeError):
 
 
 class Evaluator:
-    """Base class: counted, optionally serialized evaluation."""
+    """Base class: counted evaluation, by default MB/J of self.measure(config)."""
 
-    def __init__(self, serialize: bool = False):
-        self._count = 0
-        self._count_lock = threading.Lock()
-        self._exec_lock = threading.Lock() if serialize else None
-
-    @property
-    def evaluation_count(self) -> int:
-        """Number of evaluate() calls so far."""
-        with self._count_lock:
-            return self._count
+    evaluation_count = 0  # evaluate() calls; the first one sets it on the instance
 
     def evaluate(self, config: Configuration) -> float:
         """Energy efficiency of `config` in MB/J."""
-        with self._count_lock:
-            self._count += 1
-        if self._exec_lock is not None:
-            with self._exec_lock:
-                return self._evaluate(config)
+        self.evaluation_count += 1
         return self._evaluate(config)
 
     def _evaluate(self, config: Configuration) -> float:
-        raise NotImplementedError
+        return metrics.energy_efficiency(self.measure(config))  # type: ignore[attr-defined]
 
     def describe(self) -> str:
         return type(self).__name__
@@ -98,7 +86,6 @@ class ModelEvaluator(Evaluator):
     """Predicts efficiency with a trained boosted regression tree model."""
 
     def __init__(self, model: BoostedModel, space: ParameterSpace, source: str | None = None):
-        super().__init__()
         if tuple(model.feature_names) != space.names:
             raise ValueError(
                 f"model features {model.feature_names!r} do not match space "
@@ -129,7 +116,6 @@ class ReplayEvaluator(Evaluator):
         measurements: list[RawMeasurement],
         source: str | None = None,
     ):
-        super().__init__()
         self.space = space
         self.source = source
         self._by_key: dict[tuple[Any, ...], RawMeasurement] = {}
@@ -148,7 +134,7 @@ class ReplayEvaluator(Evaluator):
     def __len__(self) -> int:
         return len(self._by_key)
 
-    def measurement_for(self, config: Configuration) -> RawMeasurement:
+    def measure(self, config: Configuration) -> RawMeasurement:
         key = self.space.config_key(config)
         try:
             return self._by_key[key]
@@ -156,9 +142,6 @@ class ReplayEvaluator(Evaluator):
             raise NotRecordedError(
                 f"configuration {config!r} is not recorded"
             ) from None
-
-    def _evaluate(self, config: Configuration) -> float:
-        return metrics.energy_efficiency(self.measurement_for(config))
 
     def describe(self) -> str:
         origin = self.source or "in-memory"
@@ -209,7 +192,6 @@ class PccOracle(Evaluator):
         rugged_amplitude: float = 0.0,
         seed: int = 0,
     ):
-        super().__init__()
         if rows < 2 or cols < 1:
             raise ValueError("need at least 2 rows and 1 column")
         if cpu_op_cost_s <= 0 or transfer_bandwidth_b_s <= 0:
@@ -273,9 +255,6 @@ class PccOracle(Evaluator):
             acc_workload_mb=acc_workload,
         )
 
-    def _evaluate(self, config: Configuration) -> float:
-        return metrics.energy_efficiency(self.measure(config))
-
     def describe(self) -> str:
         return f"oracle:{self.name}(rows={self.rows},cols={self.cols})"
 
@@ -307,7 +286,6 @@ class PatternMatchOracle(Evaluator):
         rugged_amplitude: float = 0.03,
         seed: int = 0,
     ):
-        super().__init__()
         if input_mb <= 0 or cpu_base_rate_mb_s <= 0 or acc_base_rate_mb_s <= 0:
             raise ValueError("workload and base rates must be positive")
         if cpu_power_w <= 0 or acc_power_w <= 0:
@@ -395,9 +373,6 @@ class PatternMatchOracle(Evaluator):
             acc_workload_mb=acc_workload,
         )
 
-    def _evaluate(self, config: Configuration) -> float:
-        return metrics.energy_efficiency(self.measure(config))
-
     def describe(self) -> str:
         return f"oracle:{self.name}(input_mb={self.input_mb})"
 
@@ -431,7 +406,6 @@ class CommandEvaluator(Evaluator):
     command must print a measurement row (measurement-log columns, comma
     separated) on stdout; the last parsable row for the requested
     configuration wins. Rows can be appended to a log for later training.
-    Invocations are serialized unless `parallel` is set.
     """
 
     def __init__(
@@ -440,9 +414,7 @@ class CommandEvaluator(Evaluator):
         space: ParameterSpace,
         log_path: str | None = None,
         timeout_s: float = 60.0,
-        parallel: bool = False,
     ):
-        super().__init__(serialize=not parallel)
         names = set(space.names)
         unknown = [p for p in _PLACEHOLDER.findall(template) if p not in names]
         if unknown:
@@ -478,7 +450,7 @@ class CommandEvaluator(Evaluator):
                 found = m  # last matching line wins
         return found
 
-    def _evaluate(self, config: Configuration) -> float:
+    def measure(self, config: Configuration) -> RawMeasurement:
         command = self.substitute(config)
         try:
             proc = subprocess.run(
@@ -519,7 +491,7 @@ class CommandEvaluator(Evaluator):
             )
         if self.log_path:
             append_measurement(self.log_path, self.space, m)
-        return metrics.energy_efficiency(m)
+        return m
 
     def describe(self) -> str:
         return f"cmd:{self.template}"

@@ -43,6 +43,10 @@ METHOD_AML = "AML"
 MIN_TRAINING_ROWS = 10
 
 
+class ReportFormatError(ValueError):
+    """A persisted campaign report is malformed."""
+
+
 class CampaignError(RuntimeError):
     """A campaign failed midway; the partial report is attached."""
 
@@ -86,7 +90,15 @@ def _trace_to_doc(trace: SearchTrace) -> dict[str, Any]:
     }
 
 
-def _trace_from_doc(doc: Mapping[str, Any]) -> SearchTrace:
+def _trace_from_doc(
+    doc: Mapping[str, Any], evaluations: tuple[tuple[Configuration, float], ...]
+) -> SearchTrace:
+    """Rebuild a trace whose distinct evaluations are the report's records."""
+    if int(doc["evaluations_used"]) != len(evaluations):
+        raise ValueError(
+            f"trace evaluations_used = {doc['evaluations_used']} but the report "
+            f"has {len(evaluations)} records"
+        )
     return SearchTrace(
         steps=tuple(_step_from_doc(s) for s in doc["steps"]),
         seed_evaluations=tuple(
@@ -95,7 +107,7 @@ def _trace_from_doc(doc: Mapping[str, Any]) -> SearchTrace:
         ),
         winner_config=None if doc["winner_config"] is None else dict(doc["winner_config"]),
         winner_value=None if doc["winner_value"] is None else float(doc["winner_value"]),
-        evaluations_used=int(doc["evaluations_used"]),
+        evaluations=evaluations,
     )
 
 
@@ -157,6 +169,9 @@ class CampaignReport:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "CampaignReport":
+        records = tuple(
+            (dict(entry["config"]), entry["value"]) for entry in doc["records"]
+        )
         return cls(
             method=doc["method"],
             space_name=doc["space"],
@@ -164,14 +179,15 @@ class CampaignReport:
             best_config=None if doc["best_config"] is None else dict(doc["best_config"]),
             best_value=doc["best_value_mb_per_j"],
             evaluations_used=int(doc["evaluations_used"]),
-            records=tuple(
-                (dict(entry["config"]), entry["value"]) for entry in doc["records"]
-            ),
+            records=records,
             budget=doc.get("budget"),
             budget_fraction=doc.get("budget_fraction"),
             seed=doc.get("seed"),
             anneal_params=doc.get("anneal_params"),
-            trace=None if doc.get("trace") is None else _trace_from_doc(doc["trace"]),
+            trace=(
+                None if doc.get("trace") is None
+                else _trace_from_doc(doc["trace"], records)
+            ),
             wall_time_s=doc.get("wall_time_s"),
         )
 
@@ -182,8 +198,13 @@ class CampaignReport:
 
     @classmethod
     def load(cls, path: str) -> "CampaignReport":
+        """Read a report; a malformed document raises ReportFormatError."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            doc = json.load(handle)
+        try:
+            return cls.from_dict(doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReportFormatError(f"{path}: malformed campaign report: {exc!r}") from exc
 
 
 def run_em(space: ParameterSpace, evaluator: Any) -> CampaignReport:
@@ -229,31 +250,12 @@ def run_aml(
 ) -> CampaignReport:
     """Run the annealing search and package its trace as a report.
 
-    The report's records hold the distinct evaluations in first-evaluation
-    order (memoized repeats collapse onto their first occurrence), so
-    len(records) equals the trace's evaluation count.
+    The report's records are the trace's distinct evaluations in
+    first-evaluation order (memoized repeats collapse onto their first
+    occurrence).
     """
     started = time.perf_counter()
     trace = anneal(space, evaluator, params)
-
-    seen: set[tuple[Any, ...]] = set()
-    records: list[tuple[Configuration, float]] = []
-    for config, value in trace.seed_evaluations:
-        key = space.config_key(config)
-        if key not in seen:
-            seen.add(key)
-            records.append((config, value))
-    for step in trace.steps:
-        key = space.config_key(step.candidate)
-        if key not in seen:
-            seen.add(key)
-            records.append((step.candidate, step.value))
-    if len(records) != trace.evaluations_used:
-        raise RuntimeError(
-            f"trace inconsistency: {len(records)} distinct configurations vs "
-            f"{trace.evaluations_used} evaluations"
-        )
-
     return CampaignReport(
         method=METHOD_AML,
         space_name=space.name,
@@ -261,7 +263,7 @@ def run_aml(
         best_config=trace.winner_config,
         best_value=trace.winner_value,
         evaluations_used=trace.evaluations_used,
-        records=tuple(records),
+        records=trace.evaluations,
         budget=params.evaluation_budget,
         budget_fraction=trace.evaluations_used / space.cardinality(),
         seed=params.seed,

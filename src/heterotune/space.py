@@ -283,9 +283,6 @@ class ParameterSpace:
                 violations.append(f"unknown parameter {name!r}")
         return violations
 
-    def is_valid(self, config: Mapping[str, Any]) -> bool:
-        return not self.validate(config)
-
     # ----- sampling and moves ---------------------------------------------
 
     def random_config(self, rng: random.Random) -> Configuration:

@@ -194,7 +194,10 @@ def _level_splits(
     j = np.maximum(feature, 0)
     at = starts + node_k[j, np.arange(len(counts))]
     lo, hi = X[r[perm[j, at]], j], X[r[perm[j, at + 1]], j]  # the values either side of the cut
-    mid = (lo + hi) / 2.0  # replaced by hi where it rounds down to lo
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    mid = np.where(np.isfinite(mid), mid, lo / 2.0 + hi / 2.0)  # halve first where lo + hi overflows
+    # A midpoint that rounds down to lo is replaced by hi.
     return feature, np.where(feature < 0, -math.inf, np.where(mid <= lo, hi, mid))
 
 

@@ -303,6 +303,36 @@ def test_exit_3_on_malformed_model(capsys, tmp_path):
     assert "data error" in err
 
 
+def drop_records(doc):
+    del doc["records"]
+
+
+def miscount_records(doc):
+    doc["evaluations_used"] += 1
+
+
+def miscount_trace(doc):
+    doc["trace"]["evaluations_used"] += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [miscount_records, drop_records, miscount_trace],
+    ids=["record-count", "missing-records", "trace-count"],
+)
+def test_exit_3_on_malformed_report(capsys, tmp_path, corrupt):
+    em_path = tmp_path / "em.json"
+    aml_path = tmp_path / "aml.json"
+    run(capsys, "em", "--space", "ida", "--eval", REPLAY, "--out", str(em_path))
+    run(capsys, "aml", "--space", "ida", "--eval", REPLAY, "--out", str(aml_path))
+    doc = json.loads(aml_path.read_text())
+    corrupt(doc)
+    aml_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "compare", "--em", str(em_path), "--aml", str(aml_path))
+    assert code == 3
+    assert "data error" in err and "malformed campaign report" in err
+
+
 def train_ida_model(capsys, tmp_path):
     log = tmp_path / "ida.csv"
     model = tmp_path / "model.json"

@@ -106,6 +106,9 @@ def test_aml_records_match_distinct_evaluations(ida):
     assert len(report.records) == report.evaluations_used
     keys = {tuple(sorted(c.items())) for c, _ in report.records}
     assert len(keys) == report.evaluations_used
+    assert report.records == report.trace.evaluations
+    doc = report.to_dict()
+    assert CampaignReport.from_dict(doc).to_dict() == doc
 
 
 def test_aml_budget_fraction(emil):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,25 @@ def test_value_at_threshold_goes_right():
     data = dataset([([0.0], 1.0), ([1.0], 1.0), ([10.0], 9.0), ([11.0], 9.0)])
     tree = fit_tree(data, max_depth=1, min_samples_leaf=1)
     assert predict_tree(tree, [tree.threshold[0]]) == 9.0
+
+
+@pytest.mark.parametrize("max_depth", [8, None])
+@pytest.mark.parametrize(
+    "xs",
+    [(1e308, 1.7e308, 1.7e308), (-1e308, -1.7e308, -1.7e308), (-1.7e308, 1.7e308)],
+    ids=["positive", "negative", "opposite-signs"],
+)
+def test_split_near_float_max_has_finite_midpoint(xs, max_depth):
+    # For the first two inputs the sum of the values either side of the cut overflows.
+    data = dataset([([x], 1.0 if x == xs[0] else 0.0) for x in xs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = fit_tree(data, max_depth=max_depth, min_samples_leaf=1)
+    lo, hi = sorted((xs[0], xs[-1]))
+    assert tree.feature[0] == 0
+    assert math.isfinite(tree.threshold[0]) and lo < tree.threshold[0] < hi
+    assert tree.leaf_count() == 2
+    assert [predict_tree(tree, [x]) for x in xs] == [1.0] + [0.0] * (len(xs) - 1)
 
 
 def test_predict_tree_arity_mismatch():
