@@ -55,6 +55,13 @@ class CampaignError(RuntimeError):
         self.partial_report = partial_report
 
 
+def _number(value: Any, what: str) -> float:
+    """A report value as read, if it is a JSON number (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ReportFormatError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _step_to_doc(step: SearchStep) -> dict[str, Any]:
     return {
         "index": step.index,
@@ -170,14 +177,19 @@ class CampaignReport:
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "CampaignReport":
         records = tuple(
-            (dict(entry["config"]), entry["value"]) for entry in doc["records"]
+            (dict(entry["config"]), _number(entry["value"], "record value"))
+            for entry in doc["records"]
         )
+        best_value = doc["best_value_mb_per_j"]
         return cls(
             method=doc["method"],
             space_name=doc["space"],
             evaluator=doc["evaluator"],
             best_config=None if doc["best_config"] is None else dict(doc["best_config"]),
-            best_value=doc["best_value_mb_per_j"],
+            best_value=(
+                None if best_value is None
+                else _number(best_value, "best_value_mb_per_j")
+            ),
             evaluations_used=int(doc["evaluations_used"]),
             records=records,
             budget=doc.get("budget"),
@@ -449,7 +461,7 @@ def compare(
             f"reports cover different spaces: {em.space_name!r} vs {aml.space_name!r}"
         )
     if em.best_value is None or aml.best_value is None:
-        raise ValueError("both reports need a best value to compare")
+        raise ReportFormatError("both reports need a best value to compare")
     return CompareRow(
         label=label if label is not None else em.space_name,
         em_value=em.best_value,

@@ -49,6 +49,9 @@ class NoNeighborError(RuntimeError):
     """No single-parameter move is possible in this space."""
 
 
+_MISSING = object()
+
+
 @dataclass(frozen=True)
 class Parameter:
     """One tunable dimension of a configuration space.
@@ -189,26 +192,43 @@ class ParameterSpace:
                 raise SpaceDefinitionError(
                     f"space {self.name!r}: complement parameters must be numeric"
                 )
+        # Lookup tables built once; they are not fields, so equality and the
+        # hash stay on (name, parameters).
+        free = tuple(p for p in self.parameters if not p.is_derived)
+        tables = {
+            "_names": tuple(names),
+            "_name_set": frozenset(names),
+            "_by_name": by_name,
+            "_free": free,
+            "_derived": tuple(
+                (p.name, p.derived_from) for p in self.parameters if p.is_derived
+            ),
+            "_mutable": tuple(p for p in free if p.size > 1),
+            # Per parameter: the exact value type of its domain and a
+            # value -> code table, so `encode` skips `code_of` on a hit.
+            "_encoders": tuple(
+                (p, int if p.is_numeric else str,
+                 {v: p.code_of(v) for v in p.domain})
+                for p in self.parameters
+            ),
+        }
+        for attr, table in tables.items():
+            object.__setattr__(self, attr, table)
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.parameters)
+        return self._names
 
     @property
     def free_parameters(self) -> tuple[Parameter, ...]:
-        return tuple(p for p in self.parameters if not p.is_derived)
+        return self._free
 
     def parameter(self, name: str) -> Parameter:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+        return self._by_name[name]
 
     def complement_sources(self) -> tuple[str, ...]:
         """Names of parameters that some derived parameter complements."""
-        return tuple(
-            dict.fromkeys(p.derived_from for p in self.parameters if p.is_derived)
-        )
+        return tuple(dict.fromkeys(source for _, source in self._derived))
 
     # ----- enumeration ---------------------------------------------------
 
@@ -218,16 +238,16 @@ class ParameterSpace:
 
     def enumerate_all(self) -> Iterator[Configuration]:
         """Yield every configuration in lexicographic domain order."""
-        free = self.free_parameters
-        for combo in itertools.product(*(p.domain for p in free)):
-            config = dict(zip((p.name for p in free), combo))
+        free_names = tuple(p.name for p in self._free)
+        for combo in itertools.product(*(p.domain for p in self._free)):
+            config = dict(zip(free_names, combo))
             self._fill_derived(config)
             yield config
 
     def _fill_derived(self, config: Configuration) -> None:
-        for p in self.parameters:
-            if p.is_derived and p.name not in config:
-                config[p.name] = COMPLEMENT_TOTAL - config[p.derived_from]
+        for name, source in self._derived:
+            if name not in config:
+                config[name] = COMPLEMENT_TOTAL - config[source]
 
     def make_config(self, assignment: Mapping[str, Any]) -> Configuration:
         """Build a configuration from a (possibly partial) assignment.
@@ -238,18 +258,14 @@ class ParameterSpace:
         """
         config: Configuration = {}
         for name, value in assignment.items():
-            try:
-                param = self.parameter(name)
-            except KeyError:
-                config[name] = value
-                continue
-            config[name] = param.canonical_value(value)
+            param = self._by_name.get(name)
+            config[name] = value if param is None else param.canonical_value(value)
         missing_sources = [
-            p for p in self.parameters
-            if p.is_derived and p.name not in config and p.derived_from not in config
+            name for name, source in self._derived
+            if name not in config and source not in config
         ]
         if missing_sources:
-            names = ", ".join(p.name for p in missing_sources)
+            names = ", ".join(missing_sources)
             raise SpaceDefinitionError(f"cannot fill derived parameter(s): {names}")
         self._fill_derived(config)
         return config
@@ -277,9 +293,8 @@ class ParameterSpace:
                         f"{COMPLEMENT_TOTAL} - {p.derived_from} = "
                         f"{COMPLEMENT_TOTAL - source_value}, got {value!r}"
                     )
-        known = set(self.names)
         for name in config:
-            if name not in known:
+            if name not in self._name_set:
                 violations.append(f"unknown parameter {name!r}")
         return violations
 
@@ -287,7 +302,7 @@ class ParameterSpace:
 
     def random_config(self, rng: random.Random) -> Configuration:
         """Draw each free parameter uniformly from its domain."""
-        config = {p.name: rng.choice(p.domain) for p in self.free_parameters}
+        config = {p.name: rng.choice(p.domain) for p in self._free}
         self._fill_derived(config)
         return config
 
@@ -300,12 +315,11 @@ class ParameterSpace:
         different level otherwise; categorical parameters draw uniformly
         among the other labels.
         """
-        mutable = [p for p in self.free_parameters if p.size > 1]
-        if not mutable:
+        if not self._mutable:
             raise NoNeighborError(
                 f"space {self.name!r} has no free parameter with more than one value"
             )
-        param = rng.choice(mutable)
+        param = rng.choice(self._mutable)
         current = config[param.name]
         idx = param.domain.index(current)
         if param.is_numeric and rng.random() < ADJACENT_MOVE_PROBABILITY:
@@ -319,11 +333,11 @@ class ParameterSpace:
             new_idx = rng.randrange(param.size - 1)
             if new_idx >= idx:
                 new_idx += 1
-        moved = {k: v for k, v in config.items() if k in self.names}
+        known = self._name_set
+        moved = {k: v for k, v in config.items() if k in known}
         moved[param.name] = param.domain[new_idx]
-        for p in self.parameters:
-            if p.is_derived:
-                moved[p.name] = COMPLEMENT_TOTAL - moved[p.derived_from]
+        for name, source in self._derived:
+            moved[name] = COMPLEMENT_TOTAL - moved[source]
         return moved
 
     # ----- encoding --------------------------------------------------------
@@ -332,12 +346,15 @@ class ParameterSpace:
         """Encode a configuration as one float per parameter, in space order.
 
         Numeric values pass through; categorical labels map to their codes.
+        A value off its domain table is encoded by `Parameter.code_of`.
         """
         values = []
-        for p in self.parameters:
-            if p.name not in config:
+        for p, value_type, codes in self._encoders:
+            value = config.get(p.name, _MISSING)
+            if value is _MISSING:
                 raise EncodingError(f"missing parameter {p.name!r}")
-            values.append(p.code_of(config[p.name]))
+            code = codes.get(value) if type(value) is value_type else None
+            values.append(p.code_of(value) if code is None else code)
         return tuple(values)
 
     def decode(self, vector: FeatureVector) -> Configuration:

@@ -12,6 +12,7 @@ broken by the lowest feature index, then the lowest threshold.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -380,14 +381,23 @@ def _weighted_median_columns(predictions: np.ndarray, weights: np.ndarray) -> np
 
 def predict_boosted(model: BoostedModel, x: Sequence[float]) -> float:
     """Predict one feature vector: one root-to-leaf walk per tree, combined
-    exactly as in `predict_boosted_batch`, so both give the same bits."""
+    exactly as in `predict_boosted_batch`, so both give the same bits.
+
+    The stable sort breaks ties by stage index as NumPy's stable argsort
+    does, and the running sum adds in the same order as `np.cumsum`.
+    """
     row = np.asarray(x, dtype=np.float64)
     if row.shape != (len(model.feature_names),):
         raise ValueError(f"expected {len(model.feature_names)} features, got shape {row.shape}")
     row_list = row.tolist()
-    predictions = np.array([[_walk(s.tree, row_list)] for s in model.stages])
-    weights = np.array([s.weight for s in model.stages])
-    return float(_weighted_median_columns(predictions, weights)[0])
+    stages = model.stages
+    predictions = [_walk(s.tree, row_list) for s in stages]
+    order = sorted(range(len(stages)), key=predictions.__getitem__)
+    cdf = list(itertools.accumulate(stages[i].weight for i in order))
+    half = 0.5 * cdf[-1]
+    # argmax over an all-False column picks the first row, hence the default.
+    median = next((i for i, c in zip(order, cdf) if c >= half), order[0])
+    return float(predictions[median])
 
 
 def predict_boosted_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:

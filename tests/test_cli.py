@@ -315,10 +315,20 @@ def miscount_trace(doc):
     doc["trace"]["evaluations_used"] += 1
 
 
+def stringify_values(doc):
+    for entry in doc["records"]:
+        entry["value"] = str(entry["value"])
+    doc["best_value_mb_per_j"] = str(doc["best_value_mb_per_j"])
+
+
+def bool_best_value(doc):
+    doc["best_value_mb_per_j"] = True
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [miscount_records, drop_records, miscount_trace],
-    ids=["record-count", "missing-records", "trace-count"],
+    [miscount_records, drop_records, miscount_trace, stringify_values, bool_best_value],
+    ids=["record-count", "missing-records", "trace-count", "string-values", "bool-best"],
 )
 def test_exit_3_on_malformed_report(capsys, tmp_path, corrupt):
     em_path = tmp_path / "em.json"
@@ -331,6 +341,19 @@ def test_exit_3_on_malformed_report(capsys, tmp_path, corrupt):
     code, _, err = run(capsys, "compare", "--em", str(em_path), "--aml", str(aml_path))
     assert code == 3
     assert "data error" in err and "malformed campaign report" in err
+
+
+def test_exit_3_on_report_without_best_value(capsys, tmp_path):
+    em_path = tmp_path / "em.json"
+    aml_path = tmp_path / "aml.json"
+    run(capsys, "em", "--space", "ida", "--eval", REPLAY, "--out", str(em_path))
+    run(capsys, "aml", "--space", "ida", "--eval", REPLAY, "--out", str(aml_path))
+    doc = json.loads(em_path.read_text())
+    doc.update(records=[], evaluations_used=0, best_config=None, best_value_mb_per_j=None)
+    em_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "compare", "--em", str(em_path), "--aml", str(aml_path))
+    assert code == 3
+    assert "data error" in err and "need a best value" in err
 
 
 def train_ida_model(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Campaign runner: EM/AML reports, dataset generation, training, comparison."""
 
+import hashlib
 import json
 import math
 import random
@@ -13,12 +14,16 @@ from heterotune import (
     CampaignReport,
     CompareRow,
     Hyperparameters,
+    ModelEvaluator,
     PatternMatchOracle,
     PccOracle,
     ReplayEvaluator,
+    ReportFormatError,
     compare,
     compare_table,
     dataset_from_log,
+    dataset_from_measurements,
+    fit_boosted,
     gen_dataset,
     parse_validation_spec,
     run_aml,
@@ -138,6 +143,34 @@ def test_aml_never_beats_em(ida, ida_em):
         assert report.best_value <= ida_em.best_value
 
 
+#: SHA-256 of the JSON of `to_dict(include_wall_time=False)` for one AML
+#: search at 7 % of emil, recorded before `ParameterSpace` cached its tables
+#: and before the one-row combine left NumPy. Any change to the search's
+#: random draws, its trace or a prediction changes these bytes.
+AML_ORACLE_SHA256 = "3c2682b0f8ace2f45e31bf6bcd091ac14a5a944c8d4b49c305f93df55ea2b54d"
+AML_MODEL_SHA256 = "4ae7a1fe62646ca53fd40265b3a9370bac991df6d2308d6304a8ec60729464e7"
+
+
+def aml_digest(space, evaluator):
+    report = run_aml(space, evaluator, AnnealParams(evaluation_budget=1018, seed=5))
+    doc = report.to_dict(include_wall_time=False)
+    return hashlib.sha256(json.dumps(doc).encode("utf-8")).hexdigest()
+
+
+def test_aml_over_oracle_bytes_pinned(emil):
+    assert aml_digest(emil, PatternMatchOracle()) == AML_ORACLE_SHA256
+
+
+def test_aml_over_model_bytes_pinned(emil):
+    # The model pinned as EMIL_MODEL_SHA256 in test_surrogate.py.
+    rows = gen_dataset(emil, PatternMatchOracle(), sample=400, seed=3)
+    model = fit_boosted(
+        dataset_from_measurements(emil, rows), np.random.default_rng(11),
+        n_estimators=8, max_depth=6,
+    )
+    assert aml_digest(emil, ModelEvaluator(model, emil)) == AML_MODEL_SHA256
+
+
 # ----- report persistence -----------------------------------------------------------
 
 
@@ -183,6 +216,21 @@ def test_report_rejects_unknown_method():
             evaluations_used=0,
             records=(),
         )
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("records", "1.5"), ("records", True), ("best_value_mb_per_j", "1.5"),
+     ("best_value_mb_per_j", False)],
+)
+def test_report_rejects_non_number_values(ida, key, value):
+    doc = run_aml(ida, PccOracle(), AnnealParams(evaluation_budget=20, seed=1)).to_dict()
+    if key == "records":
+        doc["records"][0]["value"] = value
+    else:
+        doc[key] = value
+    with pytest.raises(ReportFormatError, match="must be a number"):
+        CampaignReport.from_dict(doc)
 
 
 # ----- gen_dataset --------------------------------------------------------------------
@@ -367,7 +415,7 @@ def test_compare_requires_best_values():
         evaluations_used=0,
         records=(),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ReportFormatError):
         compare(empty, report_with_best("ida", "AML", 1.0))
 
 

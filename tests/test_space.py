@@ -1,10 +1,12 @@
 """Configuration-space behaviour: domains, enumeration, mutation, encoding."""
 
+import math
 import random
 
 import pytest
 
 from heterotune import (
+    EncodingError,
     NoNeighborError,
     ParameterSpace,
     SpaceDefinitionError,
@@ -224,6 +226,56 @@ def test_encode_decode_identity(emil):
 def test_encode_arity(emil):
     config = emil.random_config(random.Random(0))
     assert len(emil.encode(config)) == len(emil.names) == 6
+
+
+def reference_encode(space, config):
+    """Encoding through `Parameter.code_of` alone, one parameter at a time."""
+    return tuple(p.code_of(config[p.name]) for p in space.parameters)
+
+
+@pytest.mark.parametrize("name", ["emil", "ida"])
+def test_encode_matches_code_of_on_every_configuration(name):
+    space = bundled_space(name)
+    for config in space.enumerate_all():
+        assert space.encode(config) == reference_encode(space, config)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"CPU-T": True}, {"CPU-W": True}, {"CPU-A": 1.0}, {"CPU-A": "nope"}, {"ACC-A": None}],
+    ids=["bool-off-domain", "bool-on-domain", "float-on-categorical", "unknown-label",
+         "none-label"],
+)
+def test_encode_rejects_what_code_of_rejects(emil, override):
+    config = {**emil.random_config(random.Random(4)), **override}
+    with pytest.raises(EncodingError):
+        emil.encode(config)
+
+
+def test_encode_rejects_missing_parameter(emil):
+    config = emil.random_config(random.Random(4))
+    del config["ACC-T"]
+    with pytest.raises(EncodingError, match="ACC-T"):
+        emil.encode(config)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"CPU-T": 13}, {"CPU-A": 2}, {"CPU-W": 24.0}, {"CPU-W": -0.0}, {"CPU-W": 2.5}],
+    ids=["off-domain-int", "categorical-int-code", "float-on-grid", "negative-zero", "off-grid-float"],
+)
+def test_encode_off_table_values_as_code_of(emil, override):
+    config = {**emil.random_config(random.Random(4)), **override}
+    encoded, expected = emil.encode(config), reference_encode(emil, config)
+    assert encoded == expected
+    assert [math.copysign(1.0, v) for v in encoded] == [math.copysign(1.0, v) for v in expected]
+
+
+def test_space_equality_and_hash_stay_on_fields(emil):
+    again = bundled_space("emil")
+    again.encode(again.random_config(random.Random(0)))
+    assert again == emil and hash(again) == hash(emil)
+    assert again != bundled_space("ida")
 
 
 def test_config_key_is_hashable_and_order_fixed(emil):

@@ -34,7 +34,7 @@ from heterotune import (
     save_model,
     split_train_test,
 )
-from heterotune.surrogate import _build_tree, _column_codes
+from heterotune.surrogate import BoostStage, BoostedModel, RegressionTree, _build_tree, _column_codes
 
 
 def dataset(rows, feature_names=None):
@@ -429,6 +429,51 @@ def test_one_row_predict_matches_batch_bit_for_bit(small_emil_model):
     batch = predict_boosted_batch(model, grid)
     one_row = np.array([predict_boosted(model, row) for row in grid])
     assert np.array_equal(one_row, batch)
+
+
+def leaf_model(predictions, weights):
+    """A one-feature model whose stages are single leaves."""
+    stages = tuple(
+        BoostStage(
+            RegressionTree(
+                feature=(-1,), threshold=(-math.inf,), left=(0,), right=(0,),
+                value=(value,), n_features=1, max_depth=0, min_samples_leaf=1,
+            ),
+            weight,
+        )
+        for value, weight in zip(predictions, weights)
+    )
+    return BoostedModel(("f0",), stages, Hyperparameters())
+
+
+@pytest.mark.parametrize(
+    "predictions, weights, expected",
+    [
+        # 0.0 and -0.0 tie: the lower stage index comes first, so -0.0 wins.
+        ((0.0, -0.0, 1.0), (1.0, 1.0, 1.0), -0.0),
+        ((2.0, 1.0, 2.0, 1.0, 2.0), (0.3, 0.1, 0.2, 0.4, 0.5), 2.0),
+        # The running sum lands exactly on half the total at the second stage.
+        ((4.0, 3.0, 2.0, 1.0), (0.5, 0.5, 0.5, 0.5), 2.0),
+        # Sequential sums of 0.1 end at 0.9999999999999999, not 1.0.
+        (tuple(float(v) for v in range(9, -1, -1)), (0.1,) * 10, 4.0),
+        # 0.3 + 0.1 + 0.2 sums to 0.6000000000000001, so the first stage's 0.3
+        # falls short of half; summed exactly, it would be the median.
+        ((1.0, 2.0, 3.0), (0.3, 0.1, 0.2), 2.0),
+        # fit_boosted keeps a lone stage of weight 0 when its first is degenerate.
+        ((6.25,), (0.0,), 6.25),
+    ],
+    ids=[
+        "signed-zero-tie", "equal-predictions", "exact-half", "tenths",
+        "rounding-decides", "zero-weight",
+    ],
+)
+def test_one_row_predict_matches_batch_on_ties(predictions, weights, expected):
+    model = leaf_model(predictions, weights)
+    rows = np.array([[0.0], [-1.0], [np.nan]])
+    batch = predict_boosted_batch(model, rows)
+    one_row = np.array([predict_boosted(model, row) for row in rows])
+    assert one_row.tobytes() == batch.tobytes()
+    assert one_row.tobytes() == np.full(len(rows), expected).tobytes()
 
 
 # ----- r2_score -------------------------------------------------------------------
