@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -169,13 +170,16 @@ def cmd_em(args: argparse.Namespace) -> int:
 
 
 def cmd_aml(args: argparse.Namespace) -> int:
+    fraction = args.budget_fraction
+    if fraction is not None and not 0 < fraction < math.inf:
+        raise ValueError(f"--budget-fraction must be positive and finite, got {fraction}")
     space = resolve_space(args.space)
     evaluator = make_evaluator(
         args.eval, space, command_log=args.cmd_log, command_timeout_s=args.cmd_timeout
     )
     budget = args.budget
-    if args.budget_fraction is not None:
-        budget = max(1, int(args.budget_fraction * space.cardinality()))
+    if fraction is not None:
+        budget = max(1, int(fraction * space.cardinality()))
     params = AnnealParams(
         initial_temperature=args.initial_temperature,
         cooling_factor=args.cooling_factor,

@@ -52,6 +52,11 @@ class NoNeighborError(RuntimeError):
 _MISSING = object()
 
 
+def _is_int(value: Any) -> bool:
+    """An int that is not a bool, which YAML's true/false load as."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Parameter:
     """One tunable dimension of a configuration space.
@@ -84,9 +89,9 @@ class Parameter:
                 f"parameter {self.name!r}: duplicate domain values"
             )
         if self.kind in _NUMERIC_KINDS:
-            if not all(isinstance(v, int) for v in self.domain):
+            if not all(_is_int(v) for v in self.domain):
                 raise SpaceDefinitionError(
-                    f"parameter {self.name!r}: numeric domains must be integers"
+                    f"parameter {self.name!r}: numeric domains must be integers, not booleans"
                 )
             if any(a >= b for a, b in zip(self.domain, self.domain[1:])):
                 raise SpaceDefinitionError(
@@ -154,8 +159,7 @@ class Parameter:
         """
         if (
             not self.is_numeric
-            and isinstance(value, int)
-            and not isinstance(value, bool)
+            and _is_int(value)
             and 0 <= value < len(self.domain)
         ):
             return self.domain[value]
@@ -409,7 +413,7 @@ def space_from_dict(doc: Mapping[str, Any]) -> ParameterSpace:
         kind = entry.get("kind")
         if kind == KIND_RANGE:
             lo, hi = entry.get("min"), entry.get("max")
-            if not isinstance(lo, int) or not isinstance(hi, int) or lo > hi:
+            if not _is_int(lo) or not _is_int(hi) or lo > hi:
                 raise SpaceDefinitionError(
                     f"parameter {pname!r}: range needs integer min <= max"
                 )

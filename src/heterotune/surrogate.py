@@ -1,8 +1,8 @@
 """Boosted regression tree surrogate for configuration performance models.
 
 The model is an AdaBoost.R2 ensemble of CART regression trees fitted on
-weighted bootstrap resamples. Split search minimizes the weighted sum of
-squared errors over (feature, midpoint-threshold) candidates; stage weights
+weighted bootstrap resamples. Split search minimizes the sum of squared
+errors over (feature, midpoint-threshold) candidates; stage weights
 are log(1/beta) with beta derived from the max-normalized linear loss, and
 prediction is the weighted median of the stage predictions.
 
@@ -56,12 +56,11 @@ class Hyperparameters:
 
 @dataclass
 class Dataset:
-    """Feature matrix with targets and optional sample weights."""
+    """Feature matrix with targets."""
 
     feature_names: tuple[str, ...]
     features: np.ndarray
     targets: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.feature_names = tuple(self.feature_names)
@@ -82,37 +81,22 @@ class Dataset:
             raise ValueError("features must be finite")
         if not np.all(np.isfinite(self.targets)):
             raise ValueError("targets must be finite")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != self.targets.shape:
-                raise ValueError("weights must be one value per row")
-            if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
-                raise ValueError("weights must be finite and non-negative")
-            if not np.any(self.weights > 0):
-                raise ValueError("weights must not all be zero")
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.feature_names,
-            self.features[indices],
-            self.targets[indices],
-            None if self.weights is None else self.weights[indices],
-        )
+        return Dataset(self.feature_names, self.features[indices], self.targets[indices])
 
     @classmethod
     def from_rows(
         cls,
         feature_names: Sequence[str],
         rows: Sequence[tuple[Sequence[float], float]],
-        weights: Sequence[float] | None = None,
     ) -> "Dataset":
         features = np.array([list(vec) for vec, _ in rows], dtype=np.float64)
         targets = np.array([target for _, target in rows], dtype=np.float64)
-        return cls(tuple(feature_names), features, targets,
-                   None if weights is None else np.asarray(weights, dtype=np.float64))
+        return cls(tuple(feature_names), features, targets)
 
 
 # ----- regression trees ---------------------------------------------------
@@ -133,8 +117,6 @@ class RegressionTree:
     right: tuple[int, ...]
     value: tuple[float, ...]
     n_features: int
-    max_depth: int | None
-    min_samples_leaf: int
 
     def depth(self) -> int:
         # Preorder puts every child after its parent, so one forward pass works.
@@ -154,23 +136,23 @@ def _column_codes(X: np.ndarray) -> np.ndarray:
 
 
 def _level_splits(
-    X: np.ndarray, r: np.ndarray, codes: np.ndarray, yc: np.ndarray, w: np.ndarray,
+    X: np.ndarray, r: np.ndarray, codes: np.ndarray, yc: np.ndarray,
     nid: np.ndarray, counts: np.ndarray, min_samples_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best (feature, threshold) of each node of a depth, or (-1, -inf) where none.
 
     Rows X[r] are node-major in nodes nid; yc = y - node mean keeps the sums well
-    conditioned. A node is searched as if alone: rows in (x, yc, w) order, sums
+    conditioned. A node is searched as if alone: rows in (x, yc) order, sums
     from its first row, then the lowest SSE, feature and midpoint threshold. Nodes
     of one power-of-two padded width are searched as one matrix.
     """
     d, starts = X.shape[1], np.cumsum(counts) - counts
-    order = np.lexsort((w, yc, nid))
-    # A stable sort on (node, code) keeps the (yc, w) order among equal codes.
+    order = np.lexsort((yc, nid))
+    # A stable sort on (node, code) keeps the yc order among equal codes.
     keys = nid * (int(codes.max(initial=0)) + 1) + codes[order].T
     keys = keys.astype(np.uint16) if keys.max(initial=0) < 2**16 else keys  # radix-sortable
     perm = order[np.argsort(keys, axis=1, kind="stable")]
-    stats = np.stack([w, w * yc, w * yc * yc])
+    stats = np.stack([yc, yc * yc])
     width = np.array([1 << (c - 1).bit_length() for c in counts.tolist()])
     node_sse, node_k = np.empty((d, len(counts))), np.empty((d, len(counts)), dtype=np.intp)
     for W in np.unique(width).tolist():
@@ -180,13 +162,14 @@ def _level_splits(
         pos = perm.take(starts[nodes][:, None] + i, axis=1, mode="clip")
         cum = np.cumsum(stats.take(pos, axis=1), axis=3)
         code = codes.take(pos * d + np.arange(d)[:, None, None])
-        w_left, s_left, q_left = cum[..., :-1]
+        s_left, q_left = cum[..., :-1]
         total = cum[:, :, np.arange(len(nodes))[:, None], n - 1]  # at the node's last row
-        w_right, s_right, q_right = total - cum[..., :-1]
-        valid = (code[..., :-1] < code[..., 1:]) & (w_left > 0) & (w_right > 0) & (
-            (i[1:] >= min_samples_leaf) & (n - i[1:] >= min_samples_leaf))
+        s_right, q_right = total - cum[..., :-1]
+        n_left, n_right = i[1:], n - i[1:]  # rows either side of each cut
+        valid = (code[..., :-1] < code[..., 1:]) & (
+            (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sse = (q_left - s_left * s_left / w_left) + (q_right - s_right * s_right / w_right)
+            sse = (q_left - s_left * s_left / n_left) + (q_right - s_right * s_right / n_right)
         sse = np.where(valid, sse, math.inf)
         # argmin takes the first minimum, the lowest threshold; min keeps a NaN.
         node_k[:, nodes], node_sse[:, nodes] = sse.argmin(axis=2), sse.min(axis=2)
@@ -203,10 +186,10 @@ def _level_splits(
 
 
 def _build_tree(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, codes: np.ndarray, rows: np.ndarray,
+    X: np.ndarray, y: np.ndarray, codes: np.ndarray, rows: np.ndarray,
     max_depth: int | None, min_samples_leaf: int,
 ) -> RegressionTree:
-    """Grow a tree on X[rows], row rows[i] weighing w[i], one depth at a time.
+    """Grow a tree on X[rows], one depth at a time; a repeated row counts each time.
 
     codes is `_column_codes(X)`. Breadth-first ids, where a split's children are
     left and left + 1, are relabelled in preorder at the end.
@@ -215,18 +198,17 @@ def _build_tree(
     at, nid = np.arange(len(rows)), np.zeros(len(rows), dtype=np.intp)  # node-major
     while len(at):
         r = rows[at]
-        yr, wr, counts = y[r], w[at], np.bincount(nid)
+        yr, counts = y[r], np.bincount(nid)
         starts = np.cumsum(counts) - counts
-        y_l, wy_l, w_l = yr.tolist(), (wr * yr).tolist(), wr.tolist()
-        bounds = list(zip(starts.tolist(), (starts + counts).tolist()))
-        total = [math.fsum(w_l[a:b]) for a, b in bounds]  # fsum is exact: row order is moot
-        center = [math.fsum(wy_l[a:b]) / t if t > 0 else math.fsum(y_l[a:b]) / (b - a)
-                  for (a, b), t in zip(bounds, total)]
+        y_l = yr.tolist()
+        # fsum is exactly rounded, so row order is moot.
+        center = [math.fsum(y_l[a:b]) / (b - a)
+                  for a, b in zip(starts.tolist(), (starts + counts).tolist())]
         open_ = (counts >= 2 * min_samples_leaf) & (max_depth is None or len(levels) < max_depth)
         open_ &= np.minimum.reduceat(yr, starts) < np.maximum.reduceat(yr, starts)
         split, cut, keep = np.full(len(counts), -1), np.full(len(counts), -math.inf), open_[nid]
         split[open_], cut[open_] = _level_splits(
-            X, r[keep], codes[r[keep]], yr[keep] - np.array(center)[nid[keep]], wr[keep],
+            X, r[keep], codes[r[keep]], yr[keep] - np.array(center)[nid[keep]],
             (np.cumsum(open_) - 1)[nid[keep]], counts[open_], min_samples_leaf)
         rank = np.cumsum(split >= 0) - 1
         first += len(counts)
@@ -245,7 +227,7 @@ def _build_tree(
         (feature[b], threshold[b], pre[left[b]], pre[left[b] + 1], value[b]) if feature[b] >= 0
         else (-1, -math.inf, i, i, value[b]) for i, b in enumerate(order)
     ]
-    return RegressionTree(*zip(*nodes), X.shape[1], max_depth, min_samples_leaf)
+    return RegressionTree(*zip(*nodes), X.shape[1])
 
 
 def fit_tree(
@@ -256,9 +238,8 @@ def fit_tree(
         raise ValueError("max_depth must be None or non-negative")
     if min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be at least 1")
-    w = data.weights if data.weights is not None else np.ones(len(data))
     codes, rows = _column_codes(data.features), np.arange(len(data))
-    return _build_tree(data.features, data.targets, w, codes, rows, max_depth, min_samples_leaf)
+    return _build_tree(data.features, data.targets, codes, rows, max_depth, min_samples_leaf)
 
 
 def _walk(tree: RegressionTree, x: list[float]) -> float:
@@ -335,16 +316,12 @@ def fit_boosted(
         raise ValueError("boosting needs at least 2 rows")
     X = data.features
     y = data.targets
-    if data.weights is not None:
-        sample_weight = data.weights / data.weights.sum()
-    else:
-        sample_weight = np.full(n, 1.0 / n)
-    unit, codes = np.ones(n), _column_codes(X)
+    sample_weight, codes = np.full(n, 1.0 / n), _column_codes(X)
     stages: list[BoostStage] = []
     for _ in range(n_estimators):
         sample_weight = sample_weight / sample_weight.sum()
         bootstrap = rng.choice(n, size=n, replace=True, p=sample_weight)
-        tree = _build_tree(X, y, unit, codes, bootstrap, max_depth, min_samples_leaf)
+        tree = _build_tree(X, y, codes, bootstrap, max_depth, min_samples_leaf)
         error_vect = np.abs(predict_tree_batch(tree, X) - y)
         error_max = error_vect.max()
         if error_max > 0:
@@ -530,7 +507,7 @@ def _finite(raw: Any, what: str) -> float:
     return value
 
 
-def _tree_from_dict(doc: Any, n_features: int, hyper: Hyperparameters) -> RegressionTree:
+def _tree_from_dict(doc: Any, n_features: int) -> RegressionTree:
     """Lay a nested v1 tree out in preorder; its child indices form a tree by construction."""
     nodes: list[list[Any]] = []
     pending: list[tuple[Any, int]] = [(doc, -1)]  # (node, parent it is the right child of)
@@ -550,9 +527,7 @@ def _tree_from_dict(doc: Any, n_features: int, hyper: Hyperparameters) -> Regres
         threshold = _finite(node_doc["threshold"], "split threshold")
         nodes.append([feature, threshold, node + 1, -1, math.nan])
         pending += [(node_doc["right"], node), (node_doc["left"], -1)]
-    return RegressionTree(
-        *map(tuple, zip(*nodes)), n_features, hyper.max_depth, hyper.min_samples_leaf
-    )
+    return RegressionTree(*map(tuple, zip(*nodes)), n_features)
 
 
 def model_to_dict(model: BoostedModel) -> dict[str, Any]:
@@ -579,7 +554,7 @@ def model_from_dict(doc: Any) -> BoostedModel:
         hyper = Hyperparameters(**doc["hyperparameters"])
         stages = tuple(
             BoostStage(
-                _tree_from_dict(entry["tree"], len(feature_names), hyper),
+                _tree_from_dict(entry["tree"], len(feature_names)),
                 _finite(entry["weight"], "stage weight"),
             )
             for entry in doc["stages"]

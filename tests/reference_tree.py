@@ -108,4 +108,4 @@ def _build_tree(
         grow(X[~go_left], y[~go_left], w[~go_left], depth + 1)
 
     grow(X, y, w, 0)
-    return RegressionTree(*map(tuple, zip(*nodes)), X.shape[1], max_depth, min_samples_leaf)
+    return RegressionTree(*map(tuple, zip(*nodes)), X.shape[1])

@@ -5,6 +5,7 @@ option configured in pyproject.toml) and then asserts the same condition.
 """
 
 import csv
+import hashlib
 import math
 import os
 import random
@@ -35,12 +36,15 @@ from heterotune import (
     fit_boosted,
     gen_dataset,
     kfold_cv,
+    model_to_json,
     predict_boosted_batch,
     run_em,
     space_from_dict,
 )
 
 REL = 1e-12
+# sha256 of model_to_json(emil_model): the default 50-stage, depth-8 model.
+DEFAULT_EMIL_MODEL_SHA256 = "9dde10b73ef5b4d3befa6c925c792fe07fa316a29ca47477f99bf1ec8a663e03"
 
 
 def verdict(number, title, ok, detail):
@@ -74,6 +78,11 @@ def boosted_cv(emil_dataset):
 def emil_model(emil_dataset):
     data, _ = emil_dataset
     return fit_boosted(data, np.random.default_rng(0))
+
+
+def test_default_model_bytes_pinned(emil_model):
+    digest = hashlib.sha256(model_to_json(emil_model).encode("utf-8")).hexdigest()
+    assert digest == DEFAULT_EMIL_MODEL_SHA256
 
 
 # ----- criterion 1: surrogate accuracy ----------------------------------------------

@@ -117,6 +117,16 @@ def test_aml_budget_fraction(capsys, tmp_path):
     assert report.seed == 0
 
 
+@pytest.mark.parametrize("fraction", ["inf", "0", "-3"])
+def test_aml_budget_fraction_must_be_positive_and_finite(capsys, fraction):
+    code, _, err = run(
+        capsys,
+        "aml", "--space", "ida", "--eval", REPLAY, "--budget-fraction", fraction,
+    )
+    assert code == 1
+    assert "--budget-fraction must be positive and finite" in err
+
+
 def test_aml_budget_flags_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(
@@ -415,6 +425,22 @@ def test_exit_3_on_malformed_space_yaml(capsys, tmp_path):
     path.write_text("parameters: [unclosed\n")
     code, _, err = run(capsys, "space-info", "--space", str(path))
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "parameter, message",
+    [
+        ("    kind: levels\n    values: [0, true]\n", "not booleans"),
+        ("    kind: range\n    min: false\n    max: 4\n", "integer min <= max"),
+    ],
+    ids=["bool-level", "bool-range-bound"],
+)
+def test_exit_3_on_boolean_in_numeric_space(capsys, tmp_path, parameter, message):
+    path = tmp_path / "bools.yaml"
+    path.write_text("name: bools\nparameters:\n  - name: A\n" + parameter)
+    code, _, err = run(capsys, "space-info", "--space", str(path))
+    assert code == 3
+    assert message in err
 
 
 def test_exit_1_on_unknown_oracle(capsys, tmp_path):

@@ -325,3 +325,18 @@ def test_definition_rejects_empty_domain():
 def test_definition_rejects_bad_range():
     with pytest.raises(SpaceDefinitionError):
         make_space([{"name": "A", "kind": "range", "min": 5, "max": 1}])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"name": "A", "kind": "levels", "values": [0, True]},
+        {"name": "A", "kind": "levels", "values": [False, 5]},
+        {"name": "A", "kind": "range", "min": False, "max": 4},
+        {"name": "A", "kind": "range", "min": 0, "max": True},
+    ],
+    ids=["level-true", "level-false", "range-min", "range-max"],
+)
+def test_definition_rejects_booleans_in_numeric_domains(entry):
+    with pytest.raises(SpaceDefinitionError):
+        make_space([entry])

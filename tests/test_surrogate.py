@@ -62,19 +62,6 @@ def test_dataset_rejects_non_finite_target():
         dataset([([1.0], float("nan"))])
 
 
-def test_dataset_rejects_negative_weights():
-    X = np.zeros((2, 1))
-    y = np.zeros(2)
-    with pytest.raises(ValueError):
-        Dataset(("f0",), X, np.array([0.0, 1.0]), weights=np.array([-1.0, 1.0]))
-
-
-def test_dataset_rejects_all_zero_weights():
-    X = np.zeros((2, 1))
-    with pytest.raises(ValueError):
-        Dataset(("f0",), X, np.array([0.0, 1.0]), weights=np.zeros(2))
-
-
 # ----- fit_tree / predict_tree ---------------------------------------------------
 
 
@@ -148,13 +135,11 @@ def test_fully_grown_tree_memorizes_training_rows():
 
 
 def emil_rows_with_ties(rng):
-    """Emil rows drawn with replacement and weighted 0.5, 1 or 2: ties in x, y and w."""
+    """Emil rows drawn with replacement: duplicate rows tie in x and y."""
     emil = bundled_space("emil")
     rows = gen_dataset(emil, PatternMatchOracle(), sample=150, seed=4)
     data = dataset_from_measurements(emil, rows)
-    pick = rng.choice(len(data), size=300)
-    weights = rng.choice([0.5, 1.0, 2.0], size=300)
-    return Dataset(data.feature_names, data.features[pick], data.targets[pick], weights)
+    return data.subset(rng.choice(len(data), size=300))
 
 
 @pytest.mark.parametrize(
@@ -165,9 +150,7 @@ def emil_rows_with_ties(rng):
 def test_tree_invariant_to_row_order(make_data):
     rng = np.random.default_rng(1)
     data = make_data(rng)
-    perm = rng.permutation(len(data))
-    weights = None if data.weights is None else data.weights[perm]
-    shuffled = Dataset(data.feature_names, data.features[perm], data.targets[perm], weights)
+    shuffled = data.subset(rng.permutation(len(data)))
     t1 = fit_tree(data, max_depth=4, min_samples_leaf=2)
     t2 = fit_tree(shuffled, max_depth=4, min_samples_leaf=2)
     grid = np.vstack([rng.uniform(-5, 5, size=(500, data.features.shape[1])), data.features])
@@ -187,24 +170,23 @@ def assert_same_tree(tree, reference):
 @pytest.mark.parametrize("max_depth", [None, 0, 1, 8])
 def test_level_wise_tree_matches_recursive_reference(emil_data, max_depth, min_samples_leaf):
     # Emil bootstraps as boosting draws them: duplicate rows, passed by index into
-    # the full matrix, with unit weights. Then with weights 0.5, 1 and 2, so that
-    # rows tie in x and y but not in w. Emil's CPU-W and ACC-W = 100 - CPU-W give
-    # splits of equal SSE up to rounding, so summing in another order shows.
+    # the full matrix, which the reference sees with unit weights. Duplicates tie
+    # in x and y. Emil's CPU-W and ACC-W = 100 - CPU-W give splits of equal SSE
+    # up to rounding, so summing in another order shows.
     _, data = emil_data
     X, y = data.features, data.targets
+    n = len(y)
     rng = np.random.default_rng(100 + min_samples_leaf)
-    for w in [np.ones(len(y))] * 2 + [rng.choice([0.5, 1.0, 2.0], size=len(y))] * 2:
-        rows = rng.choice(len(y), size=len(y))
-        tree = _build_tree(X, y, w, _column_codes(X), rows, max_depth, min_samples_leaf)
-        assert_same_tree(
-            tree, reference_tree._build_tree(X[rows], y[rows], w, max_depth, min_samples_leaf)
-        )
-    # Continuous rows with random weights, some of them zero.
+    for _ in range(4):
+        rows = rng.choice(n, size=n)
+        tree = _build_tree(X, y, _column_codes(X), rows, max_depth, min_samples_leaf)
+        assert_same_tree(tree, reference_tree._build_tree(
+            X[rows], y[rows], np.ones(n), max_depth, min_samples_leaf))
     X = rng.uniform(-5.0, 5.0, size=(300, 4))
     y = X[:, 0] ** 2 - 3.0 * X[:, 3] + np.sin(X).sum(axis=1)
-    w = np.where(rng.random(300) < 0.2, 0.0, rng.uniform(0.1, 3.0, size=300))
-    tree = fit_tree(Dataset(("a", "b", "c", "d"), X, y, w), max_depth, min_samples_leaf)
-    assert_same_tree(tree, reference_tree._build_tree(X, y, w, max_depth, min_samples_leaf))
+    tree = fit_tree(Dataset(("a", "b", "c", "d"), X, y), max_depth, min_samples_leaf)
+    assert_same_tree(tree, reference_tree._build_tree(
+        X, y, np.ones(300), max_depth, min_samples_leaf))
 
 
 def test_skewed_tree_memory_stays_bounded():
@@ -437,7 +419,7 @@ def leaf_model(predictions, weights):
         BoostStage(
             RegressionTree(
                 feature=(-1,), threshold=(-math.inf,), left=(0,), right=(0,),
-                value=(value,), n_features=1, max_depth=0, min_samples_leaf=1,
+                value=(value,), n_features=1,
             ),
             weight,
         )
