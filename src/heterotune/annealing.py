@@ -16,7 +16,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Sequence
 
 from .space import Configuration, NoNeighborError, ParameterSpace
 
@@ -81,18 +81,29 @@ class SearchTrace:
     """Complete record of one annealing run.
 
     `evaluations` holds each distinct configuration evaluated, with its
-    value, in first-evaluation order.
+    value, in first-evaluation order; the winner and the count derive from it.
     """
 
     steps: tuple[SearchStep, ...]
     seed_evaluations: tuple[tuple[Configuration, float], ...]
-    winner_config: Configuration | None
-    winner_value: float | None
     evaluations: tuple[tuple[Configuration, float], ...]
 
     @property
     def evaluations_used(self) -> int:
         return len(self.evaluations)
+
+    @property
+    def winner_config(self) -> Configuration | None:
+        return first_best(self.evaluations)[0]
+
+    @property
+    def winner_value(self) -> float | None:
+        return first_best(self.evaluations)[1]
+
+
+def first_best(records: Sequence[tuple[Configuration, float]]) -> tuple[Any, Any]:
+    """The first (config, value) record holding the maximum value; (None, None) if none."""
+    return max(records, key=lambda record: record[1], default=(None, None))
 
 
 def acceptance_probability(
@@ -152,19 +163,14 @@ def anneal(space: ParameterSpace, evaluator: Any, params: AnnealParams) -> Searc
     cache: dict[tuple[Any, ...], tuple[Configuration, float]] = {}
     steps: list[SearchStep] = []
     seed_evaluations: list[tuple[Configuration, float]] = []
-    winner: tuple[Configuration | None, float | None] = (None, None)
 
     def partial_trace() -> SearchTrace:
-        return SearchTrace(
-            tuple(steps), tuple(seed_evaluations), winner[0], winner[1],
-            tuple(cache.values()),
-        )
+        return SearchTrace(tuple(steps), tuple(seed_evaluations), tuple(cache.values()))
 
-    def evaluate(config: Configuration) -> tuple[float, bool]:
-        """Returns (value, was_cached)."""
+    def evaluate(config: Configuration) -> float:
         key = space.config_key(config)
         if key in cache:
-            return cache[key][1], True
+            return cache[key][1]
         try:
             value = float(evaluator.evaluate(config))
         except Exception as exc:
@@ -176,12 +182,7 @@ def anneal(space: ParameterSpace, evaluator: Any, params: AnnealParams) -> Searc
                 f"evaluator returned {value!r} on {config!r}", partial_trace()
             )
         cache[key] = (config, value)
-        return value, False
-
-    def observe(config: Configuration, value: float) -> None:
-        nonlocal winner
-        if winner[1] is None or value > winner[1]:
-            winner = (config, value)
+        return value
 
     # Boundary seeds: both extremes of the first workload-split parameter.
     sources = space.complement_sources()
@@ -193,41 +194,35 @@ def anneal(space: ParameterSpace, evaluator: Any, params: AnnealParams) -> Searc
             assignment = {name: base[name] for name in free_names}
             assignment[source.name] = boundary
             config = space.make_config(assignment)
-            value, _ = evaluate(config)
-            seed_evaluations.append((config, value))
-            observe(config, value)
+            seed_evaluations.append((config, evaluate(config)))
 
     current_config = space.random_config(rng)
-    current_value, _ = evaluate(current_config)
+    current_value = evaluate(current_config)
     seed_evaluations.append((current_config, current_value))
-    observe(current_config, current_value)
+    # The best value seen before each step scales its acceptance probability.
+    best_value = max(value for _, value in seed_evaluations)
 
     mutable = [p for p in space.free_parameters if p.size > 1]
     if mutable:
+        # The budget counts the distinct evaluations after the seeds.
         budget = params.evaluation_budget
+        limit = math.inf if budget is None else len(cache) + budget
         alpha = params.effective_cooling_factor
         temperature = params.initial_temperature
-        index = 0
-        loop_evaluations = 0
-        while temperature > TEMPERATURE_FLOOR:
-            if budget is not None and loop_evaluations >= budget:
-                break
+        while temperature > TEMPERATURE_FLOOR and len(cache) < limit:
             candidate = space.neighbor(current_config, rng)
-            value, was_cached = evaluate(candidate)
-            if not was_cached:
-                loop_evaluations += 1
+            value = evaluate(candidate)
             probability = acceptance_probability(
-                current_value, value, temperature, winner[1]
+                current_value, value, temperature, best_value
             )
+            best_value = max(best_value, value)
             accepted = rng.random() < probability
             steps.append(
-                SearchStep(index, temperature, candidate, value, accepted, probability)
+                SearchStep(len(steps), temperature, candidate, value, accepted, probability)
             )
             if accepted:
                 current_config, current_value = candidate, value
-            observe(candidate, value)
             temperature = cooling_step(temperature, alpha)
-            index += 1
 
     return partial_trace()
 

@@ -1,10 +1,9 @@
 """Evaluation backends: surrogate model, replay, synthetic oracles, commands.
 
-Every evaluator maps a configuration to its energy efficiency in MB/J and
-counts its evaluate() calls. The measuring evaluators (replay, oracles,
-commands) share measure(config) -> RawMeasurement, from which the base class
-derives MB/J. Deduplication of repeated configurations is the searcher's
-job, not the evaluator's.
+Every evaluator maps a configuration to its energy efficiency in MB/J. The
+measuring evaluators (replay, oracles, commands) share measure(config) ->
+RawMeasurement, from which the base class derives MB/J. Deduplication of
+repeated configurations is the searcher's job, not the evaluator's.
 
 The synthetic oracles produce full raw measurements from closed-form cost
 models, so generated datasets replay to exactly the same efficiencies.
@@ -66,16 +65,10 @@ class CommandExecutionError(RuntimeError):
 
 
 class Evaluator:
-    """Base class: counted evaluation, by default MB/J of self.measure(config)."""
-
-    evaluation_count = 0  # evaluate() calls; the first one sets it on the instance
+    """Base class: evaluation defaults to MB/J of self.measure(config)."""
 
     def evaluate(self, config: Configuration) -> float:
         """Energy efficiency of `config` in MB/J."""
-        self.evaluation_count += 1
-        return self._evaluate(config)
-
-    def _evaluate(self, config: Configuration) -> float:
         return metrics.energy_efficiency(self.measure(config))  # type: ignore[attr-defined]
 
     def describe(self) -> str:
@@ -99,7 +92,7 @@ class ModelEvaluator(Evaluator):
     def from_file(cls, path: str, space: ParameterSpace) -> "ModelEvaluator":
         return cls(load_model(path), space, source=path)
 
-    def _evaluate(self, config: Configuration) -> float:
+    def evaluate(self, config: Configuration) -> float:
         return predict_boosted(self.model, self.space.encode(config))
 
     def describe(self) -> str:

@@ -19,7 +19,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .annealing import AnnealParams, SearchStep, SearchTrace, anneal
+from .annealing import AnnealParams, SearchStep, SearchTrace, anneal, first_best
 from .metrics import (
     MeasurementLogError, RawMeasurement, read_measurement_log, write_measurement_log,
 )
@@ -56,10 +56,30 @@ class CampaignError(RuntimeError):
 
 
 def _number(value: Any, what: str) -> float:
-    """A report value as read, if it is a JSON number (bools are not)."""
+    """A report value as read, if it is a finite JSON number (bools are not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ReportFormatError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ReportFormatError(f"{what} {value!r} is not finite")
     return value
+
+
+def _exact(value: Any, kind: type, what: str) -> Any:
+    """A report value as read, if JSON gave it exactly `kind` (a bool is no int)."""
+    if type(value) is not kind:
+        raise ReportFormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _agree(
+    stored: Mapping[str, Any], derived: Mapping[str, Any], keys: Sequence[str], what: str
+) -> None:
+    """Summaries stored beside the records must equal what they give, type and all."""
+    for key in keys:
+        if type(stored[key]) is not type(derived[key]) or stored[key] != derived[key]:
+            raise ReportFormatError(
+                f"{what}{key} = {stored[key]!r} but the records give {derived[key]!r}"
+            )
 
 
 def _step_to_doc(step: SearchStep) -> dict[str, Any]:
@@ -75,12 +95,14 @@ def _step_to_doc(step: SearchStep) -> dict[str, Any]:
 
 def _step_from_doc(doc: Mapping[str, Any]) -> SearchStep:
     return SearchStep(
-        index=int(doc["index"]),
-        temperature=float(doc["temperature"]),
+        index=_exact(doc["index"], int, "step index"),
+        temperature=_number(doc["temperature"], "step temperature"),
         candidate=dict(doc["candidate"]),
-        value=float(doc["value"]),
-        accepted=bool(doc["accepted"]),
-        acceptance_probability=float(doc["acceptance_probability"]),
+        value=_number(doc["value"], "step value"),
+        accepted=_exact(doc["accepted"], bool, "step accepted"),
+        acceptance_probability=_number(
+            doc["acceptance_probability"], "step acceptance_probability"
+        ),
     )
 
 
@@ -101,33 +123,30 @@ def _trace_from_doc(
     doc: Mapping[str, Any], evaluations: tuple[tuple[Configuration, float], ...]
 ) -> SearchTrace:
     """Rebuild a trace whose distinct evaluations are the report's records."""
-    if int(doc["evaluations_used"]) != len(evaluations):
-        raise ValueError(
-            f"trace evaluations_used = {doc['evaluations_used']} but the report "
-            f"has {len(evaluations)} records"
-        )
-    return SearchTrace(
+    trace = SearchTrace(
         steps=tuple(_step_from_doc(s) for s in doc["steps"]),
         seed_evaluations=tuple(
-            (dict(entry["config"]), float(entry["value"]))
+            (dict(entry["config"]), _number(entry["value"], "seed value"))
             for entry in doc["seed_evaluations"]
         ),
-        winner_config=None if doc["winner_config"] is None else dict(doc["winner_config"]),
-        winner_value=None if doc["winner_value"] is None else float(doc["winner_value"]),
         evaluations=evaluations,
     )
+    keys = ("winner_config", "winner_value", "evaluations_used")
+    _agree(doc, _trace_to_doc(trace), keys, "trace ")
+    return trace
 
 
 @dataclass(frozen=True)
 class CampaignReport:
-    """Outcome of one search campaign over a configuration space."""
+    """Outcome of one search campaign over a configuration space.
+
+    The best configuration and value (the first record holding the maximum)
+    and the evaluation count derive from the records.
+    """
 
     method: str
     space_name: str
     evaluator: str
-    best_config: Configuration | None
-    best_value: float | None
-    evaluations_used: int
     records: tuple[tuple[Configuration, float], ...]
     budget: int | None = None
     budget_fraction: float | None = None
@@ -135,22 +154,17 @@ class CampaignReport:
     anneal_params: dict[str, Any] | None = None
     trace: SearchTrace | None = None
     wall_time_s: float | None = None
+    best_config: Configuration | None = field(init=False)
+    best_value: float | None = field(init=False)
+    evaluations_used: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.method not in (METHOD_EM, METHOD_AML):
             raise ValueError(f"method must be {METHOD_EM} or {METHOD_AML}")
-        if self.records:
-            top = max(value for _, value in self.records)
-            if self.best_value is None or self.best_value != top:
-                raise ValueError(
-                    f"best value {self.best_value!r} is not the maximum over "
-                    f"the records ({top!r})"
-                )
-        if len(self.records) != self.evaluations_used:
-            raise ValueError(
-                f"{len(self.records)} records but evaluations_used = "
-                f"{self.evaluations_used}"
-            )
+        best_config, best_value = first_best(self.records)
+        object.__setattr__(self, "best_config", best_config)
+        object.__setattr__(self, "best_value", best_value)
+        object.__setattr__(self, "evaluations_used", len(self.records))
 
     def to_dict(self, include_wall_time: bool = True) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -176,21 +190,15 @@ class CampaignReport:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "CampaignReport":
+        """Rebuild a report; its stored summaries must agree with its records."""
         records = tuple(
             (dict(entry["config"]), _number(entry["value"], "record value"))
             for entry in doc["records"]
         )
-        best_value = doc["best_value_mb_per_j"]
-        return cls(
+        report = cls(
             method=doc["method"],
             space_name=doc["space"],
             evaluator=doc["evaluator"],
-            best_config=None if doc["best_config"] is None else dict(doc["best_config"]),
-            best_value=(
-                None if best_value is None
-                else _number(best_value, "best_value_mb_per_j")
-            ),
-            evaluations_used=int(doc["evaluations_used"]),
             records=records,
             budget=doc.get("budget"),
             budget_fraction=doc.get("budget_fraction"),
@@ -202,6 +210,11 @@ class CampaignReport:
             ),
             wall_time_s=doc.get("wall_time_s"),
         )
+        if doc["best_value_mb_per_j"] is not None:
+            _number(doc["best_value_mb_per_j"], "best_value_mb_per_j")
+        keys = ("best_config", "best_value_mb_per_j", "evaluations_used")
+        _agree(doc, report.to_dict(), keys, "")
+        return report
 
     def save(self, path: str, include_wall_time: bool = True) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -212,32 +225,26 @@ class CampaignReport:
     def load(cls, path: str) -> "CampaignReport":
         """Read a report; a malformed document raises ReportFormatError."""
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        try:
-            return cls.from_dict(doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReportFormatError(f"{path}: malformed campaign report: {exc!r}") from exc
+            try:  # RecursionError: nesting too deep for the JSON decoder
+                return cls.from_dict(json.load(handle))
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                raise ReportFormatError(f"{path}: malformed campaign report: {exc!r}") from exc
 
 
 def run_em(space: ParameterSpace, evaluator: Any) -> CampaignReport:
     """Evaluate every configuration; the first maximum wins.
 
-    An evaluator failure raises CampaignError with the partial report (the
-    configurations finished so far) attached.
+    An evaluator failure or a non-finite value raises CampaignError with the
+    partial report (the configurations finished so far) attached.
     """
     started = time.perf_counter()
     records: list[tuple[Configuration, float]] = []
-    best_config: Configuration | None = None
-    best_value: float | None = None
 
     def report() -> CampaignReport:
         return CampaignReport(
             method=METHOD_EM,
             space_name=space.name,
             evaluator=evaluator.describe() if hasattr(evaluator, "describe") else repr(evaluator),
-            best_config=best_config,
-            best_value=best_value,
-            evaluations_used=len(records),
             records=tuple(records),
             wall_time_s=time.perf_counter() - started,
         )
@@ -245,6 +252,8 @@ def run_em(space: ParameterSpace, evaluator: Any) -> CampaignReport:
     for config in space.enumerate_all():
         try:
             value = evaluator.evaluate(config)
+            if not math.isfinite(value):
+                raise ValueError(f"value {value!r} is not finite")
         except Exception as exc:
             raise CampaignError(
                 f"evaluator failed on {config!r} after {len(records)} "
@@ -252,8 +261,6 @@ def run_em(space: ParameterSpace, evaluator: Any) -> CampaignReport:
                 report(),
             ) from exc
         records.append((config, value))
-        if best_value is None or value > best_value:
-            best_config, best_value = config, value
     return report()
 
 
@@ -272,9 +279,6 @@ def run_aml(
         method=METHOD_AML,
         space_name=space.name,
         evaluator=evaluator.describe() if hasattr(evaluator, "describe") else repr(evaluator),
-        best_config=trace.winner_config,
-        best_value=trace.winner_value,
-        evaluations_used=trace.evaluations_used,
         records=trace.evaluations,
         budget=params.evaluation_budget,
         budget_fraction=trace.evaluations_used / space.cardinality(),

@@ -467,7 +467,7 @@ def load_space(path: str) -> ParameterSpace:
             doc = yaml.safe_load(handle)
     except OSError as exc:
         raise SpaceDefinitionError(f"cannot read space definition: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise SpaceDefinitionError(f"malformed space definition {path}: {exc}") from exc
     return space_from_dict(doc)
 

@@ -50,8 +50,8 @@ class Hyperparameters:
             raise ValueError("max_depth must be None or non-negative")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be at least 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass
@@ -337,7 +337,10 @@ def fit_boosted(
                 stages.append(BoostStage(tree, 0.0))
             break
         beta = avg_loss / (1.0 - avg_loss)
-        stages.append(BoostStage(tree, learning_rate * math.log(1.0 / beta)))
+        weight = learning_rate * math.log(1.0 / beta)
+        if not math.isfinite(weight):
+            raise ValueError(f"stage weight {weight!r} is not finite; lower learning_rate")
+        stages.append(BoostStage(tree, weight))
         sample_weight = sample_weight * np.power(beta, (1.0 - error_vect) * learning_rate)
         total = sample_weight.sum()
         if not np.isfinite(total) or total <= 0:

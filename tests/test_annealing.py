@@ -312,8 +312,11 @@ def test_nan_from_evaluator_aborts_with_partial_trace():
     space = split_space()
 
     class NanAfterTen(Evaluator):
-        def _evaluate(self, config):
-            if self.evaluation_count > 10:
+        calls = 0
+
+        def evaluate(self, config):
+            self.calls += 1
+            if self.calls > 10:
                 return float("nan")
             return float(config["CPU-W"])
 

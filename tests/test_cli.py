@@ -175,6 +175,28 @@ def test_gen_train_predict_pipeline(capsys, tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("validation", ["kfold:10", "none"])
+@pytest.mark.parametrize(
+    "rate, message",
+    [("inf", "learning_rate must be positive and finite"),
+     ("nan", "learning_rate must be positive and finite"),
+     ("1e308", "stage weight inf is not finite")],
+    ids=["inf", "nan", "1e308"],
+)
+def test_train_never_writes_an_unloadable_model(capsys, tmp_path, rate, message, validation):
+    log = tmp_path / "ida.csv"
+    model = tmp_path / "model.json"
+    run(capsys, "gen", "--space", "ida", "--oracle", "ida-pcc", "--out", str(log))
+    code, _, err = run(
+        capsys,
+        "train", "--space", "ida", "--log", str(log), "--out", str(model),
+        "--validation", validation, "--learning-rate", rate,
+    )
+    assert code == 1
+    assert message in err
+    assert not model.exists()
+
+
 def test_gen_sampled(capsys, tmp_path):
     log = tmp_path / "emil.csv"
     code, out, _ = run(
@@ -267,6 +289,24 @@ def test_exit_2_on_command_failure(capsys, tmp_path):
     assert "execution error" in err
 
 
+def test_exit_2_on_non_finite_em_value(capsys, tmp_path):
+    # A valid measurement row whose efficiency overflows: 1e308 MB for 1e-300 J.
+    script = tmp_path / "rig.py"
+    script.write_text(
+        "import sys\nw = int(sys.argv[1])\n"
+        "print(f'{w},{100 - w},1e308,0.0,1e-300,0.0,1e-300,0.0,1e308')\n"
+    )
+    out = tmp_path / "em.json"
+    code, _, err = run(
+        capsys,
+        "em", "--space", "ida", "--eval", f'cmd:"{sys.executable}" "{script}" {{CPU-W}}',
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "execution error" in err and "inf is not finite" in err
+    assert not out.exists()
+
+
 def test_exit_2_on_incomplete_replay(capsys, tmp_path):
     # replay log covering two configurations cannot serve the full space
     from heterotune import PccOracle, bundled_space, write_measurement_log
@@ -335,10 +375,44 @@ def bool_best_value(doc):
     doc["best_value_mb_per_j"] = True
 
 
+def move_best_config(doc):
+    doc["best_config"] = doc["records"][0]["config"]
+    assert doc["records"][0]["value"] != doc["best_value_mb_per_j"]
+
+
+def move_trace_winner(doc):
+    doc["trace"]["winner_config"] = doc["records"][0]["config"]
+    assert doc["records"][0]["value"] != doc["trace"]["winner_value"]
+
+
+def lower_trace_winner_value(doc):
+    doc["trace"]["winner_value"] -= 1.0
+
+
+def fractional_count(doc):
+    doc["evaluations_used"] += 0.5
+
+
+def string_accepted(doc):
+    doc["trace"]["steps"][0]["accepted"] = "false"
+
+
+def string_step_value(doc):
+    doc["trace"]["steps"][0]["value"] = str(doc["trace"]["steps"][0]["value"])
+
+
+def nest_deeply(doc):
+    return "[" * 100000 + "]" * 100000
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [miscount_records, drop_records, miscount_trace, stringify_values, bool_best_value],
-    ids=["record-count", "missing-records", "trace-count", "string-values", "bool-best"],
+    [miscount_records, drop_records, miscount_trace, stringify_values, bool_best_value,
+     move_best_config, move_trace_winner, lower_trace_winner_value, fractional_count,
+     string_accepted, string_step_value, nest_deeply],
+    ids=["record-count", "missing-records", "trace-count", "string-values", "bool-best",
+         "best-config", "trace-winner-config", "trace-winner-value", "fractional-count",
+         "string-accepted", "string-step-value", "deep-nesting"],
 )
 def test_exit_3_on_malformed_report(capsys, tmp_path, corrupt):
     em_path = tmp_path / "em.json"
@@ -346,8 +420,8 @@ def test_exit_3_on_malformed_report(capsys, tmp_path, corrupt):
     run(capsys, "em", "--space", "ida", "--eval", REPLAY, "--out", str(em_path))
     run(capsys, "aml", "--space", "ida", "--eval", REPLAY, "--out", str(aml_path))
     doc = json.loads(aml_path.read_text())
-    corrupt(doc)
-    aml_path.write_text(json.dumps(doc))
+    text = corrupt(doc)  # a corruption returns the whole text, or edits the document
+    aml_path.write_text(json.dumps(doc) if text is None else text)
     code, _, err = run(capsys, "compare", "--em", str(em_path), "--aml", str(aml_path))
     assert code == 3
     assert "data error" in err and "malformed campaign report" in err
@@ -422,9 +496,11 @@ def test_predict_space_mismatch_is_usage_error(capsys, tmp_path):
 
 def test_exit_3_on_malformed_space_yaml(capsys, tmp_path):
     path = tmp_path / "broken.yaml"
-    path.write_text("parameters: [unclosed\n")
-    code, _, err = run(capsys, "space-info", "--space", str(path))
-    assert code == 3
+    for text in ("parameters: [unclosed\n", "parameters: " + "[" * 5000 + "]" * 5000 + "\n"):
+        path.write_text(text)
+        code, _, err = run(capsys, "space-info", "--space", str(path))
+        assert code == 3
+        assert "data error" in err
 
 
 @pytest.mark.parametrize(

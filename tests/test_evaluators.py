@@ -32,19 +32,6 @@ from heterotune.harness import dataset_from_measurements, gen_dataset
 REL = 1e-12
 
 
-# ----- evaluation counting --------------------------------------------------------
-
-
-def test_counter_increments_per_call(ida):
-    oracle = PccOracle()
-    config = ida.make_config({"CPU-W": 30})
-    assert oracle.evaluation_count == 0
-    oracle.evaluate(config)
-    oracle.evaluate(config)  # evaluators do not memoize; the search layer does
-    assert oracle.evaluation_count == 2
-    assert PccOracle().evaluation_count == 0  # each instance counts its own calls
-
-
 # ----- ModelEvaluator ---------------------------------------------------------------
 
 

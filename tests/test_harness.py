@@ -102,6 +102,26 @@ def test_em_failure_carries_partial_report(ida):
     assert partial.best_value == 6.0
 
 
+@pytest.mark.parametrize(
+    "finite_calls, bad",
+    [(7, math.nan), (7, math.inf), (7, -math.inf), (0, math.nan)],
+    ids=["nan", "inf", "-inf", "nan-first"],
+)
+def test_em_non_finite_value_carries_partial_report(ida, finite_calls, bad):
+    class TurnsBad:
+        calls = 0
+
+        def evaluate(self, config):
+            self.calls += 1
+            return bad if self.calls > finite_calls else float(config["CPU-W"])
+
+    with pytest.raises(CampaignError, match=f"{bad!r} is not finite") as excinfo:
+        run_em(ida, TurnsBad())
+    partial = excinfo.value.partial_report
+    assert partial.evaluations_used == finite_calls
+    assert partial.best_value == (finite_calls - 1.0 if finite_calls else None)
+
+
 # ----- run_aml -------------------------------------------------------------------
 
 
@@ -171,6 +191,26 @@ def test_aml_over_model_bytes_pinned(emil):
     assert aml_digest(emil, ModelEvaluator(model, emil)) == AML_MODEL_SHA256
 
 
+#: SHA-256 of `json.dumps(to_dict(include_wall_time=False), indent=2)` for EM
+#: over each bundled space with its oracle, recorded while `run_em` still
+#: tracked the best value beside the records.
+EM_IDA_SHA256 = "ffa09314da32cf04dbb00ba5c55723a23e8742b8801f4ae8b4bfdf5f47614796"
+EM_EMIL_SHA256 = "449c27f8ec41d7f41758681e5c01ff1bccb23a999dcbfa47541f03c701892f21"
+
+
+def em_digest(report):
+    doc = report.to_dict(include_wall_time=False)
+    return hashlib.sha256(json.dumps(doc, indent=2).encode("utf-8")).hexdigest()
+
+
+def test_em_over_ida_bytes_pinned(ida_em):
+    assert em_digest(ida_em) == EM_IDA_SHA256
+
+
+def test_em_over_emil_bytes_pinned(emil):
+    assert em_digest(run_em(emil, PatternMatchOracle())) == EM_EMIL_SHA256
+
+
 # ----- report persistence -----------------------------------------------------------
 
 
@@ -192,30 +232,16 @@ def test_report_can_exclude_wall_time(ida, tmp_path):
     assert CampaignReport.load(path).wall_time_s is None
 
 
-def test_report_rejects_inconsistent_best():
-    with pytest.raises(ValueError):
-        CampaignReport(
-            method="EM",
-            space_name="x",
-            evaluator="e",
-            best_config={"A": 1},
-            best_value=1.0,
-            evaluations_used=1,
-            records=(({"A": 1}, 2.0),),
-        )
+def test_report_rejects_inconsistent_best(ida):
+    doc = run_aml(ida, PccOracle(), AnnealParams(evaluation_budget=20, seed=1)).to_dict()
+    doc["best_value_mb_per_j"] -= 1.0
+    with pytest.raises(ReportFormatError, match="best_value_mb_per_j = "):
+        CampaignReport.from_dict(doc)
 
 
 def test_report_rejects_unknown_method():
     with pytest.raises(ValueError):
-        CampaignReport(
-            method="XX",
-            space_name="x",
-            evaluator="e",
-            best_config=None,
-            best_value=None,
-            evaluations_used=0,
-            records=(),
-        )
+        CampaignReport(method="XX", space_name="x", evaluator="e", records=())
 
 
 @pytest.mark.parametrize(
@@ -365,9 +391,6 @@ def report_with_best(space_name, method, value):
         method=method,
         space_name=space_name,
         evaluator="synthetic",
-        best_config={"CPU-W": 0},
-        best_value=value,
-        evaluations_used=1,
         records=(({"CPU-W": 0}, value),),
     )
 
@@ -406,15 +429,7 @@ def test_compare_rejects_mismatched_spaces():
 
 
 def test_compare_requires_best_values():
-    empty = CampaignReport(
-        method="EM",
-        space_name="ida",
-        evaluator="e",
-        best_config=None,
-        best_value=None,
-        evaluations_used=0,
-        records=(),
-    )
+    empty = CampaignReport(method="EM", space_name="ida", evaluator="e", records=())
     with pytest.raises(ReportFormatError):
         compare(empty, report_with_best("ida", "AML", 1.0))
 

@@ -313,6 +313,19 @@ def test_boosted_stage_weights_finite_positive():
         assert stage.weight > 0
 
 
+@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
+def test_hyperparameters_reject_bad_learning_rate(rate):
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        Hyperparameters(learning_rate=rate)
+
+
+def test_boosted_rejects_non_finite_stage_weight():
+    # A finite rate so large that rate * log(1 / beta) overflows to inf.
+    data = random_dataset(np.random.default_rng(7), n=200, d=4)
+    with pytest.raises(ValueError, match="stage weight inf is not finite"):
+        fit_boosted(data, np.random.default_rng(1), n_estimators=3, learning_rate=1e308)
+
+
 # ----- combination rule -----------------------------------------------------------
 
 
