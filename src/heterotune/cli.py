@@ -450,6 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         NoNeighborError,
         UndefinedEfficiencyError,
         UndefinedScoreError,
+        ChildProcessError,  # a training process died; an OSError, but not a usage error
     ) as exc:
         print(f"heterotune: execution error: {exc}", file=sys.stderr)
         return EXIT_EXECUTION

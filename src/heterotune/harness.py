@@ -13,10 +13,8 @@ import math
 import random
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
-
-import numpy as np
 
 from . import metrics
 from .annealing import AnnealParams, SearchStep, SearchTrace, anneal, first_best
@@ -29,12 +27,8 @@ from .surrogate import (
     Dataset,
     Hyperparameters,
     ModelMetrics,
-    fit_boosted,
-    kfold_cv,
-    predict_boosted_batch,
-    r2_score,
     save_model,
-    split_train_test,
+    validate_and_fit,
 )
 
 METHOD_EM = "EM"
@@ -69,6 +63,11 @@ def _exact(value: Any, kind: type, what: str) -> Any:
     if type(value) is not kind:
         raise ReportFormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
     return value
+
+
+def _optional(value: Any, check: Any, *args: Any) -> Any:
+    """A report value that may be null, else passed through `check`."""
+    return None if value is None else check(value, *args)
 
 
 def _agree(
@@ -200,10 +199,10 @@ class CampaignReport:
             space_name=doc["space"],
             evaluator=doc["evaluator"],
             records=records,
-            budget=doc.get("budget"),
-            budget_fraction=doc.get("budget_fraction"),
-            seed=doc.get("seed"),
-            anneal_params=doc.get("anneal_params"),
+            budget=_optional(doc.get("budget"), _exact, int, "budget"),
+            budget_fraction=_optional(doc.get("budget_fraction"), _number, "budget_fraction"),
+            seed=_optional(doc.get("seed"), _exact, int, "seed"),
+            anneal_params=_optional(doc.get("anneal_params"), _exact, dict, "anneal_params"),
             trace=(
                 None if doc.get("trace") is None
                 else _trace_from_doc(doc["trace"], records)
@@ -391,10 +390,10 @@ def train_model(
 ) -> TrainingResult:
     """Train a boosted surrogate from a measurement log.
 
-    Validation (cross-validation or a holdout split) runs first on its own
-    seeded generator; the returned model is then fitted on all rows with a
-    fresh generator, so the persisted bytes depend only on the log and the
-    seed.
+    Validation (cross-validation or a holdout split) draws from its own seeded
+    generator and the returned model is fitted on all rows with a fresh one, so
+    the persisted bytes depend only on the log and the seed. The fits run at
+    the same time on the usable CPUs (see `validate_and_fit`).
     """
     scheme, argument = parse_validation_spec(validation)
     rows = read_measurement_log(log_path, space)
@@ -405,27 +404,12 @@ def train_model(
             line_number=0,
         )
     data = dataset_from_measurements(space, rows)
-    hyper = hyper or Hyperparameters()
 
-    outcome: ModelMetrics | None = None
-    if scheme == "kfold":
-        outcome = kfold_cv(
-            data, argument, np.random.default_rng(seed), hyper=hyper
-        )
-    elif scheme == "split":
-        rng = np.random.default_rng(seed)
-        train, test = split_train_test(data, argument, rng)
-        held_out_model = fit_boosted(train, rng, **asdict(hyper))
-        predictions = predict_boosted_batch(held_out_model, test.features)
-        outcome = ModelMetrics(
-            r2=r2_score(predictions, test.targets),
-            n_samples=len(test),
-            scheme=(
-                f"holdout split (train={len(train)}, test={len(test)})"
-            ),
-        )
-
-    model = fit_boosted(data, np.random.default_rng(seed), **asdict(hyper))
+    outcome, model = validate_and_fit(
+        data, seed, hyper=hyper,
+        folds=argument if scheme == "kfold" else None,
+        train_fraction=argument if scheme == "split" else None,
+    )
     if model_path is not None:
         save_model(model, model_path)
     return TrainingResult(model=model, validation=outcome, n_rows=len(rows), seed=seed)
@@ -460,6 +444,11 @@ def compare(
     em: CampaignReport, aml: CampaignReport, label: str | None = None
 ) -> CompareRow:
     """Line up an exhaustive report against an annealed one."""
+    if em.method != METHOD_EM or aml.method != METHOD_AML:
+        raise ReportFormatError(
+            f"compare needs an {METHOD_EM} and an {METHOD_AML} report, "
+            f"got {em.method} and {aml.method}"
+        )
     if em.space_name != aml.space_name:
         raise ValueError(
             f"reports cover different spaces: {em.space_name!r} vs {aml.space_name!r}"

@@ -438,6 +438,166 @@ def _make_fitter(
     return fit
 
 
+# ----- independent fits on every usable CPU -------------------------------------
+
+Fit = tuple[int, Callable[[], Any]]  # (training rows, a fit to call)
+
+
+def _processes(fits: int) -> int:
+    """One process per usable CPU, at most one per fit. Only the caller where
+    os.fork or os.sched_getaffinity is missing, or where another Python thread
+    could hold a lock across the fork."""
+    import os  # imported here, as only training needs these modules
+    import threading
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(len(affinity(0)), fits)
+
+
+def _shares(rows: Sequence[int], processes: int) -> list[list[int]]:
+    """Fit indices per process, balanced by rows: the last fit goes to process 0,
+    then each other fit, largest first, to the least loaded process."""
+    loads, shares = [0] * processes, [[] for _ in range(processes)]
+    last = len(rows) - 1
+    for i in [last] + sorted(range(last), key=lambda i: -rows[i]):
+        p = loads.index(min(loads))
+        loads[p] += rows[i]
+        shares[p].append(i)
+    return [sorted(share) for share in shares]
+
+
+def _run_share(fits: Sequence[Fit], share: Sequence[int]) -> dict[int, Any]:
+    """Call a share's fits in order; the first that raises ends the share, its
+    exception standing as its outcome."""
+    outcomes: dict[int, Any] = {}
+    for i in share:
+        try:
+            outcomes[i] = fits[i][1]()
+        except Exception as exc:
+            outcomes[i] = exc
+            break
+    return outcomes
+
+
+def _fork_share(fits: Sequence[Fit], share: list[int]) -> tuple[int, Any] | None:
+    """Fork a child that runs a share and pickles into a pipe the results of the
+    fits that returned (held-out predictions, never a model), then leaves by
+    os._exit. Its pid and the pipe's read end; None if no process could be forked."""
+    import os
+    import pickle
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # the child: never return into the caller's stack
+        status = 1
+        try:
+            os.close(read_end)
+            outcomes = _run_share(fits, share)
+            with open(write_end, "wb") as pipe:
+                pickle.dump({i: r for i, r in outcomes.items() if not isinstance(r, Exception)}, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _fit_concurrently(fits: Sequence[Fit]) -> list[Any]:
+    """Each fit's outcome: its result, or the exception it raised; None after
+    the first fit that raised, as a serial run never gets there.
+
+    The calling process runs the share that holds the last fit, and each other
+    share runs in a forked child. The caller then runs, in order, every fit
+    before the first failure that no child returned: one that raised in a child
+    raises again here, with its own traceback, and a share that could not be
+    forked runs here whole. Every child is reaped before this returns or raises.
+    Each fit draws only from its own generator, so the outcomes are the bits of
+    calling the fits one after another.
+    """
+    import os
+    import pickle
+    import signal
+
+    shares = _shares([rows for rows, _ in fits], _processes(len(fits)))
+    children: list[tuple[int, Any]] = []  # (pid, read end of its pipe), until reaped
+    try:
+        for share in shares[1:]:
+            child = _fork_share(fits, share)
+            if child is not None:
+                children.append(child)
+        outcomes = _run_share(fits, shares[0])
+        while children:
+            pid, pipe = children[-1]
+            message = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop()
+            pipe.close()
+            if status or not message:
+                code = os.waitstatus_to_exitcode(status)
+                ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(f"a fitting process {ended} before sending its results")
+            outcomes.update(pickle.loads(message))
+    finally:
+        for pid, pipe in children:  # left only when something above raised
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped just before the interruption
+    failed = min((i for i, outcome in outcomes.items() if isinstance(outcome, Exception)),
+                 default=len(fits))
+    outcomes.update(_run_share(fits, [i for i in range(failed) if i not in outcomes]))
+    return [outcomes.get(i) for i in range(len(fits))]
+
+
+def _value(outcome: Any) -> Any:
+    """A fit's result; the exception it raised is raised here."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _fold_fits(
+    data: Dataset, folds: list[np.ndarray], rng: np.random.Generator,
+    fit: Callable[[Dataset, np.random.Generator], Callable[[np.ndarray], np.ndarray]],
+) -> list[Fit]:
+    """One fit per fold, each on its own seed: fit the other rows, predict the fold."""
+    fold_seeds = rng.integers(0, 2**63, size=len(folds))
+
+    def fold_fit(fold: np.ndarray, seed: int) -> Fit:
+        mask = np.ones(len(data), dtype=bool)
+        mask[fold] = False
+        train_rows = np.flatnonzero(mask)
+
+        def predict_fold() -> np.ndarray:
+            predictor = fit(data.subset(train_rows), np.random.default_rng(seed))
+            return predictor(data.features[fold])
+
+        return len(train_rows), predict_fold
+
+    return [fold_fit(fold, seed) for fold, seed in zip(folds, fold_seeds)]
+
+
+def _pooled_r2(data: Dataset, folds: list[np.ndarray], outcomes: list[Any]) -> ModelMetrics:
+    """R2 over every fold's held-out predictions; the first failed fold raises."""
+    pooled = np.empty(len(data), dtype=np.float64)
+    for fold, outcome in zip(folds, outcomes):
+        pooled[fold] = _value(outcome)
+    return ModelMetrics(
+        r2=r2_score(pooled, data.targets),
+        n_samples=len(data),
+        scheme=f"{len(folds)}-fold cross-validation",
+    )
+
+
 def kfold_cv(
     data: Dataset,
     k: int,
@@ -448,24 +608,49 @@ def kfold_cv(
 ) -> ModelMetrics:
     """K-fold cross-validation, scoring R2 over the pooled held-out predictions.
 
-    Folds are fitted with independently derived seeds, so they could run
-    concurrently without changing the result.
+    Folds are fitted with independently derived seeds, at the same time on the
+    usable CPUs; the result is the same bits as fitting them in turn.
     """
     hyper = hyper or Hyperparameters()
     folds = kfold_indices(len(data), k, rng)
-    fold_seeds = rng.integers(0, 2**63, size=len(folds))
-    fit = _make_fitter(model_kind, hyper)
-    pooled = np.empty(len(data), dtype=np.float64)
-    for fold, seed in zip(folds, fold_seeds):
-        mask = np.ones(len(data), dtype=bool)
-        mask[fold] = False
-        predictor = fit(data.subset(np.flatnonzero(mask)), np.random.default_rng(seed))
-        pooled[fold] = predictor(data.features[fold])
-    return ModelMetrics(
-        r2=r2_score(pooled, data.targets),
-        n_samples=len(data),
-        scheme=f"{k}-fold cross-validation",
-    )
+    fits = _fold_fits(data, folds, rng, _make_fitter(model_kind, hyper))
+    return _pooled_r2(data, folds, _fit_concurrently(fits))
+
+
+def validate_and_fit(
+    data: Dataset,
+    seed: int,
+    *,
+    hyper: Hyperparameters | None = None,
+    folds: int | None = None,
+    train_fraction: float | None = None,
+) -> tuple[ModelMetrics | None, BoostedModel]:
+    """Validate by k-fold CV (`folds`), a holdout split (`train_fraction`) or not
+    at all, and fit the boosted model on every row; all fits run at once on the
+    usable CPUs.
+
+    Validation draws from default_rng(seed) and the model from a fresh
+    default_rng(seed), so its bytes depend only on the data and the seed. Errors
+    come in the order of a serial run: validation fits, scoring, then the model.
+    """
+    hyper = hyper or Hyperparameters()
+    fit, rng = _make_fitter("boosted", hyper), np.random.default_rng(seed)
+    final = (len(data), lambda: fit_boosted(data, np.random.default_rng(seed), **asdict(hyper)))
+    if folds is not None:
+        parts = kfold_indices(len(data), folds, rng)
+        *held_out, model = _fit_concurrently([*_fold_fits(data, parts, rng, fit), final])
+        return _pooled_r2(data, parts, held_out), _value(model)
+    if train_fraction is not None:
+        train, test = split_train_test(data, train_fraction, rng)
+        held_out, model = _fit_concurrently(
+            [(len(train), lambda: fit(train, rng)(test.features)), final])
+        validation = ModelMetrics(
+            r2=r2_score(_value(held_out), test.targets),
+            n_samples=len(test),
+            scheme=f"holdout split (train={len(train)}, test={len(test)})",
+        )
+        return validation, _value(model)
+    return None, final[1]()
 
 
 def split_train_test(

@@ -2,13 +2,15 @@
 
 import importlib.metadata
 import json
+import math
+import os
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from heterotune import CampaignReport, bundled_data_path
+from heterotune import CampaignReport, bundled_data_path, surrogate
 from heterotune.cli import main
 
 REPLAY = f"replay:{bundled_data_path('ida_512x32768_em')}"
@@ -197,6 +199,28 @@ def test_train_never_writes_an_unloadable_model(capsys, tmp_path, rate, message,
     assert not model.exists()
 
 
+def test_train_exits_2_when_a_training_process_dies(capsys, tmp_path, monkeypatch, cpus):
+    log = tmp_path / "ida.csv"
+    model = tmp_path / "model.json"
+    run(capsys, "gen", "--space", "ida", "--oracle", "ida-pcc", "--out", str(log))
+    caller, fit = os.getpid(), surrogate.fit_boosted
+
+    def fit_or_die(train, rng, **hyper):
+        if os.getpid() != caller:
+            os._exit(5)
+        return fit(train, rng, **hyper)
+
+    monkeypatch.setattr(surrogate, "fit_boosted", fit_or_die)
+    cpus(2)
+    code, _, err = run(
+        capsys,
+        "train", "--space", "ida", "--log", str(log), "--out", str(model), "--trees", "3",
+    )
+    assert code == 2
+    assert "execution error" in err and "exited with status 5" in err
+    assert not model.exists()
+
+
 def test_gen_sampled(capsys, tmp_path):
     log = tmp_path / "emil.csv"
     code, out, _ = run(
@@ -273,6 +297,17 @@ def test_compare_reports(capsys, tmp_path):
     assert doc["rows"][0]["label"] == "512 x 32768"
     assert doc["summary"]["rows"] == 1
     assert doc["rows"][0]["em_value"] == pytest.approx(3.169, rel=1e-12)
+
+
+def test_compare_rejects_swapped_reports(capsys, tmp_path):
+    em_path = tmp_path / "em.json"
+    aml_path = tmp_path / "aml.json"
+    run(capsys, "em", "--space", "ida", "--eval", REPLAY, "--out", str(em_path))
+    run(capsys, "aml", "--space", "ida", "--eval", REPLAY, "--out", str(aml_path))
+    code, out, err = run(capsys, "compare", "--em", str(aml_path), "--aml", str(em_path))
+    assert code == 3
+    assert "data error" in err and "got AML and EM" in err
+    assert "AML/EM" not in out
 
 
 # ----- exit codes --------------------------------------------------------------------------
@@ -405,14 +440,41 @@ def nest_deeply(doc):
     return "[" * 100000 + "]" * 100000
 
 
+def string_budget(doc):
+    doc["budget"] = "10"
+
+
+def fractional_budget(doc):
+    doc["budget"] = 10.5
+
+
+def string_budget_fraction(doc):
+    doc["budget_fraction"] = "abc"
+
+
+def infinite_budget_fraction(doc):
+    doc["budget_fraction"] = math.inf  # written as Infinity, which the reader parses
+
+
+def bool_seed(doc):
+    doc["seed"] = True
+
+
+def list_anneal_params(doc):
+    doc["anneal_params"] = [1]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [miscount_records, drop_records, miscount_trace, stringify_values, bool_best_value,
      move_best_config, move_trace_winner, lower_trace_winner_value, fractional_count,
-     string_accepted, string_step_value, nest_deeply],
+     string_accepted, string_step_value, nest_deeply, string_budget, fractional_budget,
+     string_budget_fraction, infinite_budget_fraction, bool_seed, list_anneal_params],
     ids=["record-count", "missing-records", "trace-count", "string-values", "bool-best",
          "best-config", "trace-winner-config", "trace-winner-value", "fractional-count",
-         "string-accepted", "string-step-value", "deep-nesting"],
+         "string-accepted", "string-step-value", "deep-nesting", "string-budget",
+         "fractional-budget", "string-budget-fraction", "infinite-budget-fraction",
+         "bool-seed", "list-anneal-params"],
 )
 def test_exit_3_on_malformed_report(capsys, tmp_path, corrupt):
     em_path = tmp_path / "em.json"

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import assert_no_children
 from heterotune import (
     AnnealParams,
     CampaignError,
@@ -25,6 +26,7 @@ from heterotune import (
     dataset_from_measurements,
     fit_boosted,
     gen_dataset,
+    model_to_json,
     parse_validation_spec,
     run_aml,
     run_em,
@@ -381,6 +383,19 @@ def test_train_same_seed_identical_bytes(ida, ida_log, tmp_path):
     train_model(ida_log, ida, hyper=hyper, validation="kfold:4", seed=5, model_path=str(b))
     # the final model depends only on the log and the seed, not the validation
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("validation, fits", [("kfold:2", 3), ("kfold:10", 11), ("split:0.8", 2)])
+def test_train_same_bits_on_any_cpu_count(ida, ida_log, cpus, validation, fits):
+    trained = []
+    for n in (1, 2, 3):
+        forked = cpus(n)
+        result = train_model(ida_log, ida, hyper=Hyperparameters(n_estimators=10, max_depth=6),
+                             validation=validation, seed=3)
+        assert len(forked) == min(n, fits) - 1
+        trained.append((model_to_json(result.model), result.validation))
+    assert trained[1] == trained[0] and trained[2] == trained[0]
+    assert_no_children()
 
 
 # ----- compare ------------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -9,6 +13,7 @@ import numpy as np
 import pytest
 
 import reference_tree
+from conftest import assert_no_children
 from heterotune import (
     Dataset,
     Hyperparameters,
@@ -34,6 +39,7 @@ from heterotune import (
     save_model,
     split_train_test,
 )
+from heterotune import surrogate
 from heterotune.surrogate import BoostStage, BoostedModel, RegressionTree, _build_tree, _column_codes
 
 
@@ -558,6 +564,130 @@ def test_kfold_tree_kind_supported():
         hyper=Hyperparameters(max_depth=5),
     )
     assert metrics.r2 <= 1.0
+
+
+# ----- folds on every usable CPU -----------------------------------------------------
+
+
+def serial_tree_cv_r2(data, k, rng, max_depth):
+    """The folds of `kfold_cv(model_kind="tree")`, fitted one after another here."""
+    folds = kfold_indices(len(data), k, rng)
+    pooled = np.empty(len(data))
+    for fold in folds:
+        tree = fit_tree(data.subset(np.setdiff1d(np.arange(len(data)), fold)), max_depth)
+        pooled[fold] = predict_tree_batch(tree, data.features[fold])
+    return r2_score(pooled, data.targets)
+
+
+def test_kfold_same_bits_on_any_cpu_count(cpus):
+    data = random_dataset(np.random.default_rng(20), n=150, d=3)
+    expected = serial_tree_cv_r2(data, 5, np.random.default_rng(4), 5)
+    for n in (1, 2, 3):
+        forked = cpus(n)
+        metrics = kfold_cv(data, 5, np.random.default_rng(4), model_kind="tree",
+                           hyper=Hyperparameters(max_depth=5))
+        assert metrics.r2 == expected
+        assert len(forked) == n - 1
+    assert_no_children()
+
+
+def refuse_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("why", ["one-cpu", "no-fork", "fork-fails", "thread"])
+def test_kfold_falls_back_to_the_calling_process(cpus, monkeypatch, why):
+    data = random_dataset(np.random.default_rng(21), n=60, d=2)
+    expected = serial_tree_cv_r2(data, 4, np.random.default_rng(6), 4)
+    forked = cpus(1 if why == "one-cpu" else 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if why == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif why == "fork-fails":
+        monkeypatch.setattr(os, "fork", refuse_fork)
+    elif why == "thread":
+        waiter.start()
+    try:
+        metrics = kfold_cv(data, 4, np.random.default_rng(6), model_kind="tree",
+                           hyper=Hyperparameters(max_depth=4))
+    finally:
+        release.set()
+    assert metrics.r2 == expected
+    assert forked == []
+
+
+def failing_folds(monkeypatch, data, folds, failing, raised):
+    """Make the boosted fit of each fold in `failing` raise, noting the pid that raised."""
+    fit = surrogate.fit_boosted
+
+    def fit_or_fail(train, rng, **hyper):
+        for number in failing:
+            if data.targets[folds[number][0]] not in train.targets:
+                with open(raised, "a", encoding="utf-8") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                raise FloatingPointError(f"fold {number} failed")
+        return fit(train, rng, **hyper)
+
+    monkeypatch.setattr(surrogate, "fit_boosted", fit_or_fail)
+
+
+@pytest.mark.parametrize("failing", [(0, 3), (1, 2)])
+def test_fold_error_from_a_child_is_the_serial_error(cpus, monkeypatch, tmp_path, deadline, failing):
+    data = random_dataset(np.random.default_rng(22), n=40, d=2)
+    hyper = Hyperparameters(n_estimators=3, max_depth=3)
+    raised = tmp_path / "raised"
+    folds = kfold_indices(len(data), 4, np.random.default_rng(5))
+    failing_folds(monkeypatch, data, folds, failing, raised)
+    for n in (1, 2, 3):
+        cpus(n)
+        raised.write_text("")
+        with pytest.raises(FloatingPointError) as error:
+            kfold_cv(data, 4, np.random.default_rng(5), hyper=hyper)
+        assert str(error.value) == f"fold {failing[0]} failed"
+        assert error.traceback[-1].name == "fit_or_fail"  # raised here, not re-raised
+        assert_no_children()
+        pids = {int(pid) for pid in raised.read_text().split()}
+        assert any(pid != os.getpid() for pid in pids) == (n > 1)
+
+
+@pytest.mark.parametrize("how, message", [
+    (lambda: os._exit(7), "a fitting process exited with status 7 before sending its results"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     "a fitting process was killed by signal 9 before sending its results"),
+], ids=["exit", "kill"])
+def test_child_that_dies_raises(cpus, monkeypatch, deadline, how, message):
+    data = random_dataset(np.random.default_rng(23), n=40, d=2)
+    caller, fit = os.getpid(), surrogate.fit_boosted
+
+    def fit_or_die(train, rng, **hyper):
+        if os.getpid() != caller:
+            how()
+        return fit(train, rng, **hyper)
+
+    monkeypatch.setattr(surrogate, "fit_boosted", fit_or_die)
+    cpus(2)
+    with pytest.raises(ChildProcessError, match=message):
+        kfold_cv(data, 4, np.random.default_rng(5), hyper=Hyperparameters(n_estimators=3))
+    assert_no_children()
+
+
+def test_interrupt_stops_and_reaps_the_children(cpus, monkeypatch, deadline):
+    data = random_dataset(np.random.default_rng(24), n=40, d=2)
+    caller = os.getpid()
+
+    def interrupt_or_stall(train, rng, **hyper):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(surrogate, "fit_boosted", interrupt_or_stall)
+    cpus(3)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        kfold_cv(data, 4, np.random.default_rng(5))
+    assert time.perf_counter() - started < 30
+    assert_no_children()
 
 
 # ----- train/test split -------------------------------------------------------------
