@@ -16,7 +16,6 @@ import os
 import sys
 from typing import Any, Sequence
 
-import numpy as np
 import yaml
 
 from .annealing import AnnealParams, SearchAborted, write_trace_csv
@@ -55,12 +54,7 @@ from .space import (
     bundled_space_names,
     load_space,
 )
-from .surrogate import (
-    Hyperparameters,
-    ModelFormatError,
-    UndefinedScoreError,
-    predict_boosted_batch,
-)
+from .surrogate import Hyperparameters, ModelFormatError, UndefinedScoreError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -234,13 +228,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     space = resolve_space(args.space)
-    model = ModelEvaluator.from_file(args.model, space).model
+    evaluator = ModelEvaluator.from_file(args.model, space)
     if args.all:
         configs = list(space.enumerate_all())
     else:
         configs = [parse_config_option(space, text) for text in args.config]
-    matrix = np.array([space.encode(c) for c in configs], dtype=np.float64)
-    predictions = predict_boosted_batch(model, matrix)
+    predictions = evaluator.evaluate_many(configs)
     for config, value in zip(configs, predictions):
         print(f"{format_config(space, config)} -> {value:.6f} MB/J")
     if args.out:
@@ -249,7 +242,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             writer.writerow(list(space.names) + ["predicted_mb_per_j"])
             for config, value in zip(configs, predictions):
                 writer.writerow(
-                    [config[name] for name in space.names] + [repr(float(value))]
+                    [config[name] for name in space.names] + [repr(value)]
                 )
         print(f"predictions written to {args.out}")
     return EXIT_OK

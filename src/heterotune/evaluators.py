@@ -7,6 +7,12 @@ repeated configurations is the searcher's job, not the evaluator's.
 
 The synthetic oracles produce full raw measurements from closed-form cost
 models, so generated datasets replay to exactly the same efficiencies.
+
+Evaluators whose evaluation is pure (deterministic and free of side
+effects), the model and the emil-pm oracle, also offer
+evaluate_many(configs), which gives `[evaluate(c) for c in configs]` bit for
+bit in one call. Measuring through commands has side effects, so they have
+none.
 """
 from __future__ import annotations
 
@@ -15,7 +21,9 @@ import math
 import re
 import shlex
 import subprocess
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from . import metrics
 from .metrics import (
@@ -26,7 +34,7 @@ from .metrics import (
     read_measurement_log,
 )
 from .space import Configuration, ParameterSpace
-from .surrogate import BoostedModel, load_model, predict_boosted
+from .surrogate import BoostedModel, load_model, predict_boosted, predict_boosted_batch
 
 ELEMENT_BYTES = 4
 MB = 1e6
@@ -95,6 +103,13 @@ class ModelEvaluator(Evaluator):
     def evaluate(self, config: Configuration) -> float:
         return predict_boosted(self.model, self.space.encode(config))
 
+    def evaluate_many(self, configs: Sequence[Configuration]) -> list[float]:
+        """One batch prediction, bit for bit the one-row predictions."""
+        matrix = np.array([self.space.encode(c) for c in configs], dtype=np.float64)
+        return predict_boosted_batch(
+            self.model, matrix.reshape(-1, len(self.space.names))
+        ).tolist()
+
     def describe(self) -> str:
         origin = self.source or "in-memory"
         return f"model:{origin}({len(self.model.stages)} stages)"
@@ -144,14 +159,25 @@ class ReplayEvaluator(Evaluator):
 # ----- synthetic oracles ------------------------------------------------------
 
 
+def _jitter_key(config: Mapping[str, Any]) -> str:
+    """The configuration part of a jitter hash key: sorted name=value pairs."""
+    return "|".join([f"{k}={config[k]}" for k in sorted(config)])
+
+
 def _rugged_factor(seed: int, config: Mapping[str, Any], unit: str, amplitude: float) -> float:
     """Deterministic multiplicative jitter in [1 - amplitude, 1 + amplitude)."""
     if amplitude == 0:
         return 1.0
-    key = "|".join(f"{k}={config[k]}" for k in sorted(config)) + f"|{unit}|{seed}"
+    key = _jitter_key(config) + f"|{unit}|{seed}"
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     unit_noise = int.from_bytes(digest, "big") / 2**63 - 1.0
     return 1.0 + amplitude * unit_noise
+
+
+def _exact_in_float64(value: Any) -> bool:
+    """A float, or an int so small that NumPy's float64 arithmetic on it
+    rounds as Python's int and float arithmetic does."""
+    return type(value) is float or (type(value) is int and abs(value) < 2**40)
 
 
 def _require_split(config: Mapping[str, Any], name: str) -> int:
@@ -365,6 +391,78 @@ class PatternMatchOracle(Evaluator):
             cpu_workload_mb=cpu_workload,
             acc_workload_mb=acc_workload,
         )
+
+    def evaluate_many(self, configs: Sequence[Configuration]) -> list[float]:
+        """MB/J of every configuration, bit for bit `[evaluate(c) for c in configs]`.
+
+        The jitter is hashed in Python, once per configuration for both
+        units; the rest runs in NumPy with the operations of `measure` and
+        `metrics.energy_efficiency`, in the same order. If any configuration
+        is off the modeled domain, or gives a measurement that either would
+        reject, every configuration goes through `evaluate`, so the first
+        failing one raises its own error. A subclass that changes `measure`
+        or `evaluate` must override this too.
+        """
+        values = self._vector_efficiencies(configs)
+        return [self.evaluate(c) for c in configs] if values is None else values
+
+    def _vector_efficiencies(self, configs: Sequence[Configuration]) -> list[float] | None:
+        """The NumPy path of `evaluate_many`; None where it cannot match `evaluate`."""
+        tables = (self.cpu_thread_scale, self.cpu_affinity_scale,
+                  self.acc_thread_scale, self.acc_affinity_scale)
+        numbers = [self.input_mb, self.cpu_base_rate_mb_s, self.acc_base_rate_mb_s,
+                   self.cpu_power_w, self.acc_power_w, self.rugged_amplitude]
+        numbers += [factor for table in tables for factor in table.values()]
+        if not all(map(_exact_in_float64, numbers)):
+            return None
+        try:  # evaluate raises it again, for the first configuration that fails
+            splits = [c.get("CPU-W") for c in configs]
+            cpu_t, cpu_a, acc_t, acc_a = (
+                np.array([table[c.get(name)] for c in configs], dtype=np.float64)
+                for table, name in zip(tables, ("CPU-T", "CPU-A", "ACC-T", "ACC-A"))
+            )
+            cpu_jitter, acc_jitter = self._jitter_factors(configs)
+        except Exception:
+            return None
+        # A split off [0, 100] makes a unit workload negative, which the checks reject.
+        if any(type(s) is not int for s in splits):
+            return None
+        split = np.array(splits, dtype=np.float64)
+        cpu_on, acc_on = split > 0, split < 100
+        with np.errstate(all="ignore"):  # rows that overflow are rejected below
+            cpu_workload = self.input_mb * split / 100.0
+            acc_workload = self.input_mb - cpu_workload
+            cpu_rate = self.cpu_base_rate_mb_s * cpu_t * cpu_a
+            acc_rate = self.acc_base_rate_mb_s * acc_t * acc_a
+            cpu_busy = np.where(cpu_on, cpu_workload / cpu_rate * cpu_jitter, 0.0)
+            acc_busy = np.where(acc_on, acc_workload / acc_rate * acc_jitter, 0.0)
+            duration = np.maximum(cpu_busy, acc_busy)
+            values, valid = metrics.energy_efficiencies(
+                self.input_mb,
+                np.where(cpu_on, duration, 0.0),
+                np.where(acc_on, duration, 0.0),
+                self.cpu_power_w * cpu_busy,
+                self.acc_power_w * acc_busy,
+                cpu_workload,
+                acc_workload,
+            )
+        return values.tolist() if valid.all() else None
+
+    def _jitter_factors(self, configs: Sequence[Configuration]) -> tuple[Any, Any]:
+        """`_rugged_factor` of every configuration for the cpu and the acc unit."""
+        if self.rugged_amplitude == 0:
+            return 1.0, 1.0
+        tails = [f"|{unit}|{self.seed}".encode("utf-8") for unit in ("cpu", "acc")]
+        digests = []
+        for config in configs:
+            head = hashlib.blake2b(_jitter_key(config).encode("utf-8"), digest_size=8)
+            for tail in tails:
+                unit_hash = head.copy()
+                unit_hash.update(tail)
+                digests.append(unit_hash.digest())
+        draws = np.frombuffer(b"".join(digests), dtype=">u8").astype(np.float64)
+        factors = 1.0 + self.rugged_amplitude * (draws / 2**63 - 1.0)
+        return factors[0::2], factors[1::2]
 
     def describe(self) -> str:
         return f"oracle:{self.name}(input_mb={self.input_mb})"

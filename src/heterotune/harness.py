@@ -234,9 +234,13 @@ def run_em(space: ParameterSpace, evaluator: Any) -> CampaignReport:
     """Evaluate every configuration; the first maximum wins.
 
     An evaluator failure or a non-finite value raises CampaignError with the
-    partial report (the configurations finished so far) attached.
+    partial report (the configurations finished so far) attached. An
+    evaluator with `evaluate_many` scores the whole space in one call; only
+    pure evaluators have it, so on a failure or a non-finite value the sweep
+    is safely run again one configuration at a time, which raises that error.
     """
     started = time.perf_counter()
+    configs = list(space.enumerate_all())
     records: list[tuple[Configuration, float]] = []
 
     def report() -> CampaignReport:
@@ -248,7 +252,17 @@ def run_em(space: ParameterSpace, evaluator: Any) -> CampaignReport:
             wall_time_s=time.perf_counter() - started,
         )
 
-    for config in space.enumerate_all():
+    evaluate_many = getattr(evaluator, "evaluate_many", None)
+    if evaluate_many is not None:
+        try:
+            values = evaluate_many(configs)
+            complete = all(map(math.isfinite, values))
+        except Exception:
+            complete = False
+        if complete:
+            records = list(zip(configs, values, strict=True))
+            return report()
+    for config in configs:
         try:
             value = evaluator.evaluate(config)
             if not math.isfinite(value):

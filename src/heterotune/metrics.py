@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .space import Configuration, ParameterSpace
 
 #: Measurement-log value columns, in order, following the space's parameter
@@ -178,6 +180,46 @@ def energy_efficiency(m: RawMeasurement) -> float:
     return throughput(m) / total_power
 
 
+def energy_efficiencies(
+    workload_mb: np.ndarray | float,
+    cpu_time_s: np.ndarray | float,
+    acc_time_s: np.ndarray | float,
+    cpu_energy_j: np.ndarray | float,
+    acc_energy_j: np.ndarray | float,
+    cpu_workload_mb: np.ndarray | float,
+    acc_workload_mb: np.ndarray | float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`energy_efficiency` of many measurements given as columns (arrays, or
+    numbers shared by every row), with the same operations in the same order.
+
+    Returns the efficiencies and which rows are valid: a row is invalid where
+    RawMeasurement or `energy_efficiency` would raise, and its value is then
+    meaningless.
+    """
+    columns = (workload_mb, cpu_time_s, acc_time_s, cpu_energy_j, acc_energy_j,
+               cpu_workload_mb, acc_workload_mb)
+    with np.errstate(all="ignore"):  # invalid rows may divide by zero
+        total = cpu_workload_mb + acc_workload_mb  # math.isclose(total, workload_mb)
+        gap = np.abs(workload_mb - total)
+        valid = np.isfinite(total) & (
+            (total == workload_mb)
+            | (gap <= np.abs(_REL_TOL * workload_mb))
+            | (gap <= np.abs(_REL_TOL * total))
+            | (gap <= _REL_TOL)
+        )
+        for column in columns:
+            valid = valid & np.isfinite(column) & (column >= 0)
+        for workload, time_s, energy_j in ((cpu_workload_mb, cpu_time_s, cpu_energy_j),
+                                           (acc_workload_mb, acc_time_s, acc_energy_j)):
+            valid = valid & ((workload != 0) | ((time_s == 0) & (energy_j == 0)))  # idle
+            valid = valid & ((energy_j <= 0) | (time_s > 0))
+        total_w = (np.where(cpu_time_s > 0, cpu_energy_j / cpu_time_s, 0.0)
+                   + np.where(acc_time_s > 0, acc_energy_j / acc_time_s, 0.0))
+        time_s = np.maximum(cpu_time_s, acc_time_s)
+        valid = valid & (total_w > 0) & (time_s > 0)
+        return workload_mb / time_s / total_w, valid
+
+
 def derive_all(m: RawMeasurement) -> DerivedMetrics:
     """Compute every derived metric for one measurement."""
     cpu_thr, acc_thr = unit_throughputs(m)
@@ -290,21 +332,24 @@ def read_measurement_log(path: str, space: ParameterSpace) -> list[RawMeasuremen
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise MeasurementLogError(f"cannot read measurement log: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MeasurementLogError("empty measurement log", 1) from None
-        if header != log_header(space):
-            raise MeasurementLogError(
-                f"line 1: header {header!r} does not match space {space.name!r}", 1
-            )
-        measurements = []
-        for fields in reader:
-            if not fields:
-                continue
-            measurements.append(
-                parse_measurement_row(fields, space, reader.line_num)
-            )
+    try:  # a decoding error surfaces a text chunk at a time, so no line number
+        with handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MeasurementLogError("empty measurement log", 1) from None
+            if header != log_header(space):
+                raise MeasurementLogError(
+                    f"line 1: header {header!r} does not match space {space.name!r}", 1
+                )
+            measurements = []
+            for fields in reader:
+                if not fields:
+                    continue
+                measurements.append(
+                    parse_measurement_row(fields, space, reader.line_num)
+                )
+    except UnicodeDecodeError as exc:
+        raise MeasurementLogError(f"measurement log is not UTF-8 text: {exc}") from exc
     return measurements

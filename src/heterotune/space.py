@@ -467,7 +467,8 @@ def load_space(path: str) -> ParameterSpace:
             doc = yaml.safe_load(handle)
     except OSError as exc:
         raise SpaceDefinitionError(f"cannot read space definition: {exc}") from exc
-    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nesting too deep
+    # RecursionError: nesting too deep; UnicodeDecodeError: not UTF-8 text
+    except (yaml.YAMLError, RecursionError, UnicodeDecodeError) as exc:
         raise SpaceDefinitionError(f"malformed space definition {path}: {exc}") from exc
     return space_from_dict(doc)
 

@@ -349,14 +349,18 @@ def fit_boosted(
     return BoostedModel(tuple(data.feature_names), tuple(stages), hyper)
 
 
-def _weighted_median_columns(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted median over axis 0 of a (stages, n) prediction matrix."""
-    order = np.argsort(predictions, axis=0, kind="stable")
-    sorted_preds = np.take_along_axis(predictions, order, axis=0)
-    cdf = np.cumsum(weights[order], axis=0)
-    above = cdf >= 0.5 * cdf[-1, :]
-    median_idx = above.argmax(axis=0)
-    return sorted_preds[median_idx, np.arange(predictions.shape[1])]
+def _weighted_median_rows(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted median of each row of an (n, stages) prediction matrix.
+
+    Rows, not columns, so that each sort and running sum reads contiguous
+    memory; the order and the sums are the same either way.
+    """
+    order = np.argsort(predictions, axis=1, kind="stable")
+    sorted_preds = np.take_along_axis(predictions, order, axis=1)
+    cdf = np.cumsum(weights[order], axis=1)
+    above = cdf >= 0.5 * cdf[:, -1:]
+    median_idx = above.argmax(axis=1)
+    return sorted_preds[np.arange(predictions.shape[0]), median_idx]
 
 
 def predict_boosted(model: BoostedModel, x: Sequence[float]) -> float:
@@ -375,7 +379,7 @@ def predict_boosted(model: BoostedModel, x: Sequence[float]) -> float:
     order = sorted(range(len(stages)), key=predictions.__getitem__)
     cdf = list(itertools.accumulate(stages[i].weight for i in order))
     half = 0.5 * cdf[-1]
-    # argmax over an all-False column picks the first row, hence the default.
+    # argmax over an all-False row picks the first stage, hence the default.
     median = next((i for i, c in zip(order, cdf) if c >= half), order[0])
     return float(predictions[median])
 
@@ -385,9 +389,9 @@ def predict_boosted_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise ValueError(f"expected an (n, {len(model.feature_names)}) feature matrix")
-    predictions = np.vstack([predict_tree_batch(s.tree, X) for s in model.stages])
+    predictions = np.column_stack([predict_tree_batch(s.tree, X) for s in model.stages])
     weights = np.array([s.weight for s in model.stages])
-    return _weighted_median_columns(predictions, weights)
+    return _weighted_median_rows(predictions, weights)
 
 
 # ----- scoring and validation schemes ---------------------------------------
@@ -770,6 +774,7 @@ def load_model(path: str) -> BoostedModel:
             doc = json.load(handle)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+    # RecursionError: nesting too deep; UnicodeDecodeError: not UTF-8 text
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     return model_from_dict(doc)

@@ -1,12 +1,15 @@
-"""Shared fixtures: the two bundled configuration spaces, and control over the
-CPUs that training may use."""
+"""Shared fixtures: the two bundled configuration spaces, a small pinned
+model, and control over the CPUs that training may use."""
 
 import os
 import signal
 
+import numpy as np
 import pytest
 
-from heterotune import bundled_space
+from heterotune import (
+    PatternMatchOracle, bundled_space, dataset_from_measurements, fit_boosted, gen_dataset,
+)
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +20,16 @@ def ida():
 @pytest.fixture(scope="session")
 def emil():
     return bundled_space("emil")
+
+
+@pytest.fixture(scope="session")
+def emil_8_tree_model(emil):
+    """The 8-tree, depth-6 model pinned as EMIL_MODEL_SHA256 in test_surrogate.py."""
+    rows = gen_dataset(emil, PatternMatchOracle(), sample=400, seed=3)
+    return fit_boosted(
+        dataset_from_measurements(emil, rows), np.random.default_rng(11),
+        n_estimators=8, max_depth=6,
+    )
 
 
 @pytest.fixture

@@ -188,16 +188,10 @@ LATENCY_STUB = textwrap.dedent(
 ).strip()
 
 
-def test_criterion_3_speed_claim(emil, emil_model, ida, tmp_path):
-    n = 2912
-    configs = random.Random(0).sample(list(emil.enumerate_all()), n)
-    matrix = np.array([emil.encode(c) for c in configs], dtype=np.float64)
-    started = time.perf_counter()
-    predictions = predict_boosted_batch(emil_model, matrix)
-    batch_seconds = time.perf_counter() - started
-    assert len(predictions) == n
-
-    script = tmp_path / "measure.py"
+@pytest.fixture(scope="module")
+def command_latency(ida, tmp_path_factory):
+    """Seconds per evaluation through the stub command, over 25 probes."""
+    script = tmp_path_factory.mktemp("stub") / "measure.py"
     script.write_text(LATENCY_STUB + "\n")
     evaluator = CommandEvaluator(
         f'"{sys.executable}" "{script}" {{CPU-W}}', ida, timeout_s=30.0
@@ -206,8 +200,19 @@ def test_criterion_3_speed_claim(emil, emil_model, ida, tmp_path):
     probe_started = time.perf_counter()
     for w in range(1, probes + 1):
         evaluator.evaluate(ida.make_config({"CPU-W": w}))
-    per_evaluation = (time.perf_counter() - probe_started) / probes
-    command_seconds = per_evaluation * n
+    return (time.perf_counter() - probe_started) / probes
+
+
+def test_criterion_3_speed_claim(emil, emil_model, command_latency):
+    n = 2912
+    configs = random.Random(0).sample(list(emil.enumerate_all()), n)
+    matrix = np.array([emil.encode(c) for c in configs], dtype=np.float64)
+    started = time.perf_counter()
+    predictions = predict_boosted_batch(emil_model, matrix)
+    batch_seconds = time.perf_counter() - started
+    assert len(predictions) == n
+
+    command_seconds = command_latency * n
 
     speedup = command_seconds / batch_seconds if batch_seconds > 0 else math.inf
     ok = batch_seconds < 10.0 and speedup >= 100.0
@@ -216,8 +221,36 @@ def test_criterion_3_speed_claim(emil, emil_model, ida, tmp_path):
         "speed claim",
         ok,
         f"{n} predictions in {batch_seconds:.3f} s (need < 10 s); command "
-        f"replay at {per_evaluation * 1000:.0f} ms/evaluation extrapolates to "
+        f"replay at {command_latency * 1000:.0f} ms/evaluation extrapolates to "
         f"{command_seconds:.0f} s -> {speedup:.0f}x faster (need >= 100x)",
+    )
+    assert ok, line
+
+
+def test_criterion_3b_one_row_speed_claim(emil, emil_model, command_latency):
+    """The paper's "> 1000x faster", on the one-row path that AML calls."""
+    configs = random.Random(0).sample(list(emil.enumerate_all()), 2912)
+    evaluator = ModelEvaluator(emil_model, emil)
+    passes = []  # the fastest of three passes, so a busy moment of the box does not decide
+    for _ in range(3):
+        started = time.perf_counter()
+        for config in configs:
+            evaluator.evaluate(config)
+        passes.append((time.perf_counter() - started) / len(configs))
+    one_row_seconds = min(passes)
+
+    # Bound fixed before the first run. Measured on a 2-core box: 75-115 us
+    # against 167-199 ms, 1450-2300x.
+    speedup = command_latency / one_row_seconds
+    ok = speedup >= 1000.0
+    line = verdict(
+        "3b",
+        "speed claim, one row",
+        ok,
+        f"one-row model evaluation {one_row_seconds * 1e6:.0f} us (fastest of 3 passes "
+        f"over {len(configs)} configurations) against "
+        f"{command_latency * 1000:.0f} ms through the command -> {speedup:.0f}x "
+        f"faster (need >= 1000x)",
     )
     assert ok, line
 

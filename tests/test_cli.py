@@ -566,6 +566,24 @@ def test_exit_3_on_malformed_space_yaml(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--space", "emil", "--model", "{bad}", "--all"],
+        ["train", "--space", "emil", "--log", "{bad}"],
+        ["em", "--space", "emil", "--eval", "replay:{bad}"],
+        ["space-info", "--space", "{bad}"],
+    ],
+    ids=["model", "log", "replay-log", "space"],
+)
+def test_exit_3_on_file_that_is_not_utf8(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
+    assert code == 3
+    assert "data error" in err and "can't decode" in err
+
+
+@pytest.mark.parametrize(
     "parameter, message",
     [
         ("    kind: levels\n    values: [0, true]\n", "not booleans"),

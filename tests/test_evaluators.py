@@ -12,11 +12,13 @@ from heterotune import (
     AmbiguousLogError,
     CommandEvaluator,
     CommandExecutionError,
+    InvalidMeasurementError,
     ModelEvaluator,
     NotRecordedError,
     PatternMatchOracle,
     PccOracle,
     ReplayEvaluator,
+    UndefinedEfficiencyError,
     bundled_data_path,
     derive_all,
     energy_efficiency,
@@ -341,6 +343,79 @@ def test_make_oracle_families():
     assert (custom.rows, custom.cols) == (512, 32768)
     with pytest.raises(ValueError):
         make_oracle("nope")
+
+
+# ----- evaluate_many ------------------------------------------------------------------
+
+
+def outcome(call):
+    """The bits `call` returns, or the type and message of what it raises."""
+    try:
+        return np.array(call(), dtype=np.float64).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def unreachable(config):
+    raise AssertionError("evaluate_many fell back to evaluate")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"rugged_amplitude": 0}, {"seed": 7},
+     {"cpu_thread_scale": {12: 0.61, 24: 0.97, 36: 1.0, 48: 0.83}}],
+    ids=["defaults", "smooth", "seed-7", "cpu-thread-table"],
+)
+def test_pm_evaluate_many_is_evaluate_bit_for_bit(emil, overrides, monkeypatch):
+    oracle = PatternMatchOracle(**overrides)
+    configs = list(emil.enumerate_all())
+    one_at_a_time = outcome(lambda: [oracle.evaluate(c) for c in configs])
+    monkeypatch.setattr(oracle, "evaluate", unreachable)  # the NumPy path, every row
+    assert outcome(lambda: oracle.evaluate_many(configs)) == one_at_a_time
+
+
+def test_model_evaluate_many_is_evaluate_bit_for_bit(emil, emil_8_tree_model):
+    evaluator = ModelEvaluator(emil_8_tree_model, emil)
+    configs = list(emil.enumerate_all())
+    many = evaluator.evaluate_many(configs)
+    assert all(type(v) is float for v in many)
+    assert outcome(lambda: many) == outcome(lambda: [evaluator.evaluate(c) for c in configs])
+    assert evaluator.evaluate_many([]) == []
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"CPU-W": 101}, {"CPU-W": True}, {"CPU-T": 13}, {"ACC-A": None}],
+    ids=["split-101", "split-true", "cpu-threads-13", "missing-key"],
+)
+@pytest.mark.parametrize("kind", ["oracle", "model"])
+def test_evaluate_many_fails_as_evaluate(emil, emil_8_tree_model, kind, change):
+    evaluator = (PatternMatchOracle() if kind == "oracle"
+                 else ModelEvaluator(emil_8_tree_model, emil))
+    bad = {k: v for k, v in {**emil_config(emil), **change}.items() if v is not None}
+    rng = random.Random(5)
+    configs = [emil.random_config(rng) for _ in range(20)]
+    configs.insert(9, bad)
+    expected = outcome(lambda: [evaluator.evaluate(c) for c in configs])
+    assert outcome(lambda: evaluator.evaluate_many(configs)) == expected
+    if kind == "oracle":  # the model encodes the off-domain numbers
+        assert expected[0] is ValueError
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [({"input_mb": math.inf}, InvalidMeasurementError),
+     ({"input_mb": 1e6, "acc_power_w": 1e307}, InvalidMeasurementError),
+     ({"cpu_base_rate_mb_s": 1e-320}, InvalidMeasurementError),
+     ({"input_mb": 1000.0, "cpu_power_w": 5e-324}, UndefinedEfficiencyError)],
+    ids=["infinite-input", "energy-overflow", "time-overflow", "zero-power"],
+)
+def test_pm_evaluate_many_rejects_as_evaluate(emil, overrides, error):
+    oracle = PatternMatchOracle(**overrides)
+    configs = list(emil.enumerate_all())
+    expected = outcome(lambda: [oracle.evaluate(c) for c in configs])
+    assert outcome(lambda: oracle.evaluate_many(configs)) == expected
+    assert expected[0] is error
 
 
 # ----- CommandEvaluator ----------------------------------------------------------------

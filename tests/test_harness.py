@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import random
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from heterotune import (
     AnnealParams,
     CampaignError,
     CampaignReport,
+    CommandEvaluator,
     CompareRow,
+    Evaluator,
     Hyperparameters,
     ModelEvaluator,
     PatternMatchOracle,
@@ -124,6 +128,89 @@ def test_em_non_finite_value_carries_partial_report(ida, finite_calls, bad):
     assert partial.best_value == (finite_calls - 1.0 if finite_calls else None)
 
 
+class Sweep:
+    """CPU-W as the value, until CPU-W 7: then `bad` is raised or returned."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def evaluate(self, config):
+        if config["CPU-W"] < 7:
+            return float(config["CPU-W"])
+        if isinstance(self.bad, Exception):
+            raise self.bad
+        return self.bad
+
+    def describe(self):
+        return "sweep"
+
+
+class PureSweep(Sweep):
+    """The same values, scored a whole sweep at a time."""
+
+    def __init__(self, bad, batch_error=None):
+        super().__init__(bad)
+        self.batch_error = batch_error
+        self.batches = 0
+
+    def evaluate_many(self, configs):
+        self.batches += 1
+        if self.batch_error is not None:
+            raise self.batch_error
+        return [self.evaluate(c) for c in configs]
+
+
+@pytest.mark.parametrize(
+    "batch_error", [None, KeyError("batch lost")], ids=["batch-loops", "batch-raises"]
+)
+@pytest.mark.parametrize(
+    "bad", [RuntimeError("rig down"), math.nan, math.inf], ids=["raise", "nan", "inf"]
+)
+def test_em_batch_failure_is_the_one_at_a_time_failure(ida, bad, batch_error):
+    with pytest.raises(CampaignError) as one_at_a_time:
+        run_em(ida, Sweep(bad))
+    pure = PureSweep(bad, batch_error)
+    with pytest.raises(CampaignError) as batched:
+        run_em(ida, pure)
+    assert pure.batches == 1
+    assert str(batched.value) == str(one_at_a_time.value)
+    assert type(batched.value.__cause__) is type(one_at_a_time.value.__cause__)
+    partial = batched.value.partial_report
+    assert partial.evaluations_used == 7
+    assert partial.to_dict(False) == one_at_a_time.value.partial_report.to_dict(False)
+
+
+COUNTING_STUB = textwrap.dedent(
+    """
+    import sys
+    w = int(sys.argv[1])
+    with open(sys.argv[2], "a") as calls:
+        calls.write(f"{w}\\n")
+    if w >= 3:
+        sys.exit(1)
+    cpu = 1.0 if w else 0.0
+    print(f"{w},{100 - w},100.0,{cpu},1.0,{cpu},1.0,{float(w)},{100.0 - w}")
+    """
+).strip()
+
+
+def test_em_runs_a_failing_command_once_per_configuration(ida, tmp_path):
+    script, calls = tmp_path / "rig.py", tmp_path / "calls.txt"
+    script.write_text(COUNTING_STUB + "\n")
+    evaluator = CommandEvaluator(f'"{sys.executable}" "{script}" {{CPU-W}} "{calls}"', ida)
+    with pytest.raises(CampaignError, match="status 1") as excinfo:
+        run_em(ida, evaluator)
+    assert excinfo.value.partial_report.evaluations_used == 3
+    assert calls.read_text().split() == ["0", "1", "2", "3"]
+
+
+def test_measuring_commands_and_replay_have_no_batch():
+    assert hasattr(PatternMatchOracle, "evaluate_many")
+    assert hasattr(ModelEvaluator, "evaluate_many")
+    for one_at_a_time in (Evaluator, CommandEvaluator, ReplayEvaluator):
+        assert not hasattr(one_at_a_time, "evaluate_many")
+
+
 # ----- run_aml -------------------------------------------------------------------
 
 
@@ -183,14 +270,8 @@ def test_aml_over_oracle_bytes_pinned(emil):
     assert aml_digest(emil, PatternMatchOracle()) == AML_ORACLE_SHA256
 
 
-def test_aml_over_model_bytes_pinned(emil):
-    # The model pinned as EMIL_MODEL_SHA256 in test_surrogate.py.
-    rows = gen_dataset(emil, PatternMatchOracle(), sample=400, seed=3)
-    model = fit_boosted(
-        dataset_from_measurements(emil, rows), np.random.default_rng(11),
-        n_estimators=8, max_depth=6,
-    )
-    assert aml_digest(emil, ModelEvaluator(model, emil)) == AML_MODEL_SHA256
+def test_aml_over_model_bytes_pinned(emil, emil_8_tree_model):
+    assert aml_digest(emil, ModelEvaluator(emil_8_tree_model, emil)) == AML_MODEL_SHA256
 
 
 #: SHA-256 of `json.dumps(to_dict(include_wall_time=False), indent=2)` for EM
@@ -198,6 +279,9 @@ def test_aml_over_model_bytes_pinned(emil):
 #: tracked the best value beside the records.
 EM_IDA_SHA256 = "ffa09314da32cf04dbb00ba5c55723a23e8742b8801f4ae8b4bfdf5f47614796"
 EM_EMIL_SHA256 = "449c27f8ec41d7f41758681e5c01ff1bccb23a999dcbfa47541f03c701892f21"
+#: The same for EM over the 8-tree model, recorded while `run_em` still called
+#: `evaluate` once per configuration.
+EM_MODEL_SHA256 = "2368665d3e85349d5d569856180f908ee2ccce541cef6535203273782b1dc13e"
 
 
 def em_digest(report):
@@ -211,6 +295,10 @@ def test_em_over_ida_bytes_pinned(ida_em):
 
 def test_em_over_emil_bytes_pinned(emil):
     assert em_digest(run_em(emil, PatternMatchOracle())) == EM_EMIL_SHA256
+
+
+def test_em_over_model_bytes_pinned(emil, emil_8_tree_model):
+    assert em_digest(run_em(emil, ModelEvaluator(emil_8_tree_model, emil))) == EM_MODEL_SHA256
 
 
 # ----- report persistence -----------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from heterotune import (
@@ -23,6 +24,7 @@ from heterotune import (
     unit_throughputs,
     write_measurement_log,
 )
+from heterotune.metrics import energy_efficiencies
 
 REL = 1e-12
 
@@ -302,6 +304,59 @@ def test_zero_power_efficiency_undefined(ida):
     )
     with pytest.raises(UndefinedEfficiencyError):
         energy_efficiency(m)
+
+
+def efficiency_columns_cases():
+    """Measurements as value tuples: random valid ones, then one that breaks
+    each check of RawMeasurement and energy_efficiency."""
+    rng = random.Random(4)
+    cases = []
+    for _ in range(300):
+        workload = rng.uniform(1.0, 1e4)
+        cpu_share = rng.choice([0.0, 1.0, rng.random()])
+        cpu_workload = workload * cpu_share
+        acc_workload = workload - cpu_workload
+        cpu_time = rng.uniform(0.1, 10.0) if cpu_workload else 0.0
+        acc_time = rng.uniform(0.1, 10.0) if acc_workload else 0.0
+        cases.append((workload, cpu_time, acc_time, 100.0 * cpu_time, 300.0 * acc_time,
+                      cpu_workload, acc_workload))
+    good = (100.0, 2.0, 1.0, 200.0, 300.0, 60.0, 40.0)
+    for column in range(7):
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            cases.append(good[:column] + (bad,) + good[column + 1:])
+    cases += [
+        (100.0, 2.0, 1.0, 200.0, 300.0, 60.0, 41.0),  # unit workloads miss the total
+        (100.0, 2.0, 1.0, 200.0, 300.0, 60.0, 40.0 + 1e-6),  # outside isclose
+        (100.0, 2.0, 1.0, 200.0, 300.0, 60.0, 40.0 + 1e-10),  # inside isclose
+        (1e-3, 2.0, 1.0, 200.0, 300.0, 6e-4, 4e-4 + 5e-9),  # outside the absolute tolerance
+        (1e-3, 2.0, 1.0, 200.0, 300.0, 6e-4, 4e-4 + 5e-10),  # inside it
+        (1e308, 2.0, 1.0, 200.0, 300.0, 1e308, 1e308),  # the unit workloads overflow
+        (100.0, 2.0, 1.0, 200.0, 300.0, 0.0, 100.0),  # idle cpu with time
+        (100.0, 0.0, 1.0, 200.0, 300.0, 0.0, 100.0),  # idle cpu with energy
+        (100.0, 0.0, 1.0, 0.0, 300.0, 100.0, 0.0),  # idle acc with time
+        (100.0, 0.0, 0.0, 0.0, 300.0, 100.0, 0.0),  # idle acc with energy, no time
+        (100.0, 0.0, 0.0, 200.0, 0.0, 60.0, 40.0),  # energy without time
+        (100.0, 0.0, 1.0, 200.0, 300.0, 60.0, 40.0),  # cpu energy without time
+        (100.0, 2.0, 1.0, 0.0, 0.0, 60.0, 40.0),  # zero power
+        (100.0, 0.0, 0.0, 0.0, 0.0, 60.0, 40.0),  # zero time
+        (100.0, 1e-320, 0.0, 1e300, 0.0, 100.0, 0.0),  # power overflows to inf
+    ]
+    return cases
+
+
+def test_energy_efficiencies_match_one_at_a_time():
+    cases = efficiency_columns_cases()
+    columns = [np.array(column) for column in zip(*cases)]
+    values, valid = energy_efficiencies(*columns)
+    for case, value, ok in zip(cases, values.tolist(), valid.tolist()):
+        try:
+            expected = energy_efficiency(RawMeasurement({}, *case))
+        except (InvalidMeasurementError, UndefinedEfficiencyError):
+            assert not ok, case
+        else:
+            assert ok, case
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes(), case
+    assert not valid.all() and valid.sum() > 300
 
 
 # ----- measurement logs -----------------------------------------------------------
