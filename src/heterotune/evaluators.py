@@ -30,6 +30,7 @@ from .metrics import (
     MeasurementLogError,
     RawMeasurement,
     append_measurement,
+    log_has_header,
     parse_measurement_row,
     read_measurement_log,
 )
@@ -514,6 +515,8 @@ class CommandEvaluator(Evaluator):
             )
         if timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
+        if log_path:
+            log_has_header(log_path)  # a log that cannot be appended to fails before any command runs
         self.template = template
         self.space = space
         self.log_path = log_path

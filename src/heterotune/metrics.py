@@ -312,13 +312,21 @@ def write_measurement_log(
     return count
 
 
-def append_measurement(path: str, space: ParameterSpace, m: RawMeasurement) -> None:
-    """Append one row, writing the header first if the file does not exist."""
+def log_has_header(path: str) -> bool:
+    """Whether a log exists with a first line to append after; raises
+    MeasurementLogError if it is not UTF-8 text."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            has_header = bool(handle.readline().strip())
+            return bool(handle.readline().strip())
     except OSError:
-        has_header = False
+        return False
+    except UnicodeDecodeError as exc:
+        raise MeasurementLogError(f"measurement log is not UTF-8 text: {exc}") from exc
+
+
+def append_measurement(path: str, space: ParameterSpace, m: RawMeasurement) -> None:
+    """Append one row, writing the header first if the file does not exist."""
+    has_header = log_has_header(path)
     with open(path, "a", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         if not has_header:

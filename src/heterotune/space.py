@@ -279,17 +279,21 @@ class ParameterSpace:
     def validate(self, config: Mapping[str, Any]) -> list[str]:
         """Return a list of violations; an empty list means valid."""
         violations: list[str] = []
-        for p in self.parameters:
+        for p, _, codes in self._encoders:
             if p.name not in config:
                 violations.append(f"missing parameter {p.name!r}")
                 continue
             value = config[p.name]
-            if value not in p.domain:
+            try:
+                known = value in codes  # as `in p.domain`: hash, then ==
+            except TypeError:  # unhashable
+                known = value in p.domain
+            if not known:
                 violations.append(
                     f"parameter {p.name!r}: value {value!r} not in domain"
                 )
                 continue
-            if p.is_derived and p.derived_from in config:
+            if p.derived_from is not None and p.derived_from in config:
                 source_value = config[p.derived_from]
                 if isinstance(source_value, int) and value != COMPLEMENT_TOTAL - source_value:
                     violations.append(

@@ -118,13 +118,19 @@ class RegressionTree:
     value: tuple[float, ...]
     n_features: int
 
-    def depth(self) -> int:
+    def __post_init__(self) -> None:
+        # The depth is walked once per tree. It is not a field, so equality and
+        # the hash stay on the arrays; set here, on every tree alike, it leaves
+        # attribute reads as fast as on the fields alone.
         # Preorder puts every child after its parent, so one forward pass works.
         depths = [0] * len(self.feature)
         for node, f in enumerate(self.feature):
             if f >= 0:
                 depths[self.left[node]] = depths[self.right[node]] = depths[node] + 1
-        return max(depths)
+        object.__setattr__(self, "_depth", max(depths))
+
+    def depth(self) -> int:
+        return self._depth
 
     def leaf_count(self) -> int:
         return self.feature.count(-1)
@@ -135,6 +141,12 @@ def _column_codes(X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.unique(column, return_inverse=True)[1] for column in X.T])
 
 
+def _small(a: np.ndarray) -> np.ndarray:
+    """Non-negative integers as uint16 where they fit, which NumPy's stable sort
+    orders by radix."""
+    return a.astype(np.uint16) if a.max(initial=0) < 2**16 else a
+
+
 def _level_splits(
     X: np.ndarray, r: np.ndarray, codes: np.ndarray, yc: np.ndarray,
     nid: np.ndarray, counts: np.ndarray, min_samples_leaf: int,
@@ -143,46 +155,71 @@ def _level_splits(
 
     Rows X[r] are node-major in nodes nid; yc = y - node mean keeps the sums well
     conditioned. A node is searched as if alone: rows in (x, yc) order, sums
-    from its first row, then the lowest SSE, feature and midpoint threshold. Nodes
-    of one power-of-two padded width are searched as one matrix.
+    from its first row, then the lowest SSE, feature and midpoint threshold. The
+    running sums of nodes of one power-of-two padded width are one matrix; the
+    SSE is taken only at candidate cuts, where the code changes and both sides
+    keep min_samples_leaf rows.
     """
-    d, starts = X.shape[1], np.cumsum(counts) - counts
-    order = np.lexsort((yc, nid))
+    d, n, nodes = X.shape[1], len(r), len(counts)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(yc, kind="stable")
+    order = order[np.argsort(_small(nid).take(order), kind="stable")]  # by (node, yc, row)
     # A stable sort on (node, code) keeps the yc order among equal codes.
-    keys = nid * (int(codes.max(initial=0)) + 1) + codes[order].T
-    keys = keys.astype(np.uint16) if keys.max(initial=0) < 2**16 else keys  # radix-sortable
-    perm = order[np.argsort(keys, axis=1, kind="stable")]
-    stats = np.stack([yc, yc * yc])
-    width = np.array([1 << (c - 1).bit_length() for c in counts.tolist()])
-    node_sse, node_k = np.empty((d, len(counts))), np.empty((d, len(counts)), dtype=np.intp)
-    for W in np.unique(width).tolist():
-        nodes = np.flatnonzero(width == W)
-        n, i = counts[nodes][:, None], np.arange(W)
-        # (d, nodes, W); positions past a node's last row are masked out below.
-        pos = perm.take(starts[nodes][:, None] + i, axis=1, mode="clip")
-        cum = np.cumsum(stats.take(pos, axis=1), axis=3)
-        code = codes.take(pos * d + np.arange(d)[:, None, None])
-        s_left, q_left = cum[..., :-1]
-        total = cum[:, :, np.arange(len(nodes))[:, None], n - 1]  # at the node's last row
-        s_right, q_right = total - cum[..., :-1]
-        n_left, n_right = i[1:], n - i[1:]  # rows either side of each cut
-        valid = (code[..., :-1] < code[..., 1:]) & (
-            (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sse = (q_left - s_left * s_left / n_left) + (q_right - s_right * s_right / n_right)
-        sse = np.where(valid, sse, math.inf)
-        # argmin takes the first minimum, the lowest threshold; min keeps a NaN.
-        node_k[:, nodes], node_sse[:, nodes] = sse.argmin(axis=2), sse.min(axis=2)
-    node_sse[np.isnan(node_sse)] = math.inf  # a NaN never wins, as under `<`
-    feature = np.where(node_sse.min(axis=0) < math.inf, node_sse.argmin(axis=0), -1)
-    j = np.maximum(feature, 0)
-    at = starts + node_k[j, np.arange(len(counts))]
+    keys = _small(nid * (int(codes.max(initial=0)) + 1) + codes[order].T)
+    sorted_at = np.argsort(keys, axis=1, kind="stable")
+    perm, keys = order[sorted_at], keys.take(sorted_at + (np.arange(d) * n)[:, None])
+    # A cut after sorted position p; nid is the node of each position.
+    n_left = np.arange(1, n) - starts[nid[:-1]]
+    n_right = counts[nid[:-1]] - n_left  # below 1 where p is a node's last row
+    f, p = np.nonzero((keys[:, :-1] < keys[:, 1:])
+                      & (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf))
+    node = nid[p]
+    # Running sums per (feature, node) from the node's first row, one width class
+    # at a time: a node's feature-f row starts at base[node] + f * stride[node].
+    ys = yc.take(perm)
+    width = np.frexp(counts - 1)[1]  # log2 of the padded width: (count - 1).bit_length()
+    base, stride = np.empty(nodes, dtype=np.intp), np.empty(nodes, dtype=np.intp)
+    cum_s, cum_q = np.empty(2 * d * n), np.empty(2 * d * n)  # padding at most doubles a node
+    end = 0
+    for w in np.unique(width).tolist():
+        members = np.flatnonzero(width == w)
+        W = int(counts[members].max())
+        # (d, members, W); positions past a node's last row are never read.
+        rows = ys.take(starts[members][:, None] + np.arange(W), axis=1, mode="clip")
+        base[members], stride[members] = end + W * np.arange(len(members)), rows[0].size
+        block = slice(end, end + rows.size)
+        np.cumsum(rows, axis=2, out=cum_s[block].reshape(rows.shape))
+        np.cumsum(np.multiply(rows, rows, out=rows), axis=2, out=cum_q[block].reshape(rows.shape))
+        end += rows.size
+    at = base[node] + f * stride[node]
+    last = at + counts[node] - 1  # the node's last row: its totals
+    at += p - starts[node]
+    s_left, q_left = cum_s.take(at), cum_q.take(at)
+    s_right, q_right = cum_s.take(last) - s_left, cum_q.take(last) - q_left
+    n_left, n_right = n_left[p], n_right[p]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sse = (q_left - s_left * s_left / n_left) + (q_right - s_right * s_right / n_right)
+    # Candidates come in (feature, node, cut) order; reduce each (feature, node).
+    row = f * nodes + node
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    best = np.full(d * nodes, math.inf)
+    best[row[first]] = np.minimum.reduceat(sse, first) if len(sse) else []  # min keeps a NaN
+    best[np.isnan(best)] = math.inf  # a NaN never wins, as under `<`
+    best = best.reshape(d, nodes)
+    feature = np.where(best.min(axis=0) < math.inf, best.argmin(axis=0), -1)
+    # Each node's first candidate that reaches the minimum of its winning feature:
+    # a node's hits are one run, as the node lies in one (feature, node) group.
+    hits = np.flatnonzero((sse == best.ravel()[row]) & (f == feature[node]))
+    hits = hits[np.diff(node[hits], prepend=-1) != 0]
+    won, j, at = node[hits], f[hits], p[hits]
     lo, hi = X[r[perm[j, at]], j], X[r[perm[j, at + 1]], j]  # the values either side of the cut
     with np.errstate(over="ignore"):
         mid = (lo + hi) / 2.0
     mid = np.where(np.isfinite(mid), mid, lo / 2.0 + hi / 2.0)  # halve first where lo + hi overflows
+    threshold = np.full(nodes, -math.inf)
     # A midpoint that rounds down to lo is replaced by hi.
-    return feature, np.where(feature < 0, -math.inf, np.where(mid <= lo, hi, mid))
+    threshold[won] = np.where(mid <= lo, hi, mid)
+    return feature, threshold
 
 
 def _build_tree(
@@ -207,15 +244,17 @@ def _build_tree(
         open_ = (counts >= 2 * min_samples_leaf) & (max_depth is None or len(levels) < max_depth)
         open_ &= np.minimum.reduceat(yr, starts) < np.maximum.reduceat(yr, starts)
         split, cut, keep = np.full(len(counts), -1), np.full(len(counts), -math.inf), open_[nid]
-        split[open_], cut[open_] = _level_splits(
-            X, r[keep], codes[r[keep]], yr[keep] - np.array(center)[nid[keep]],
-            (np.cumsum(open_) - 1)[nid[keep]], counts[open_], min_samples_leaf)
+        if open_.any():
+            split[open_], cut[open_] = _level_splits(
+                X, r[keep], codes[r[keep]], yr[keep] - np.array(center)[nid[keep]],
+                (np.cumsum(open_) - 1)[nid[keep]], counts[open_], min_samples_leaf)
         rank = np.cumsum(split >= 0) - 1
         first += len(counts)
         levels.append((split, cut, np.where(split >= 0, math.nan, center), first + 2 * rank))
         at, nid = at[split[nid] >= 0], nid[split[nid] >= 0]
         nid = 2 * rank[nid] + ~(X[rows[at], split[nid]] < cut[nid])  # children, breadth-first
-        at, nid = at[np.argsort(nid, kind="stable")], np.sort(nid, kind="stable")
+        by_child = np.argsort(_small(nid), kind="stable")
+        at, nid = at[by_child], nid[by_child]
     feature, threshold, value, left = (np.concatenate(a).tolist() for a in zip(*levels))
     order, stack = [], [0]
     while stack:  # preorder: a node, its left subtree, then its right subtree
@@ -722,13 +761,20 @@ def _tree_from_dict(doc: Any, n_features: int) -> RegressionTree:
     return RegressionTree(*map(tuple, zip(*nodes)), n_features)
 
 
-def model_to_dict(model: BoostedModel) -> dict[str, Any]:
+def _header(model: BoostedModel) -> dict[str, Any]:
+    """Every member of the v1 document but its stages."""
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "feature_names": list(model.feature_names),
         "loss": model.loss,
         "hyperparameters": asdict(model.hyperparameters),
+    }
+
+
+def model_to_dict(model: BoostedModel) -> dict[str, Any]:
+    return {
+        **_header(model),
         "stages": [
             {"weight": s.weight, "tree": _tree_to_dict(s.tree)}
             for s in model.stages
@@ -759,8 +805,51 @@ def model_from_dict(doc: Any) -> BoostedModel:
     return BoostedModel(feature_names, stages, hyper, loss)
 
 
+def _number(x: Any) -> str:
+    """A number as json.dumps writes it; ints and finite floats skip json."""
+    if type(x) is int:
+        return int.__repr__(x)
+    if type(x) is float and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x)
+
+
+def _tree_json(tree: RegressionTree, indent: str) -> str:
+    """A tree's nested v1 text, as json.dumps(..., indent=2) writes it where the
+    tree's closing brace is indented by `indent`: one preorder pass over the
+    arrays, on an explicit stack rather than recursion, so any depth is written."""
+    feature, threshold, left, right, value = (
+        tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    parts: list[str] = []
+    stack: list[Any] = [(0, indent)]  # nodes to write, with the text between them
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, outer = item
+        inner = outer + "  "
+        if feature[node] < 0:
+            parts.append(f'{{\n{inner}"value": {_number(value[node])}\n{outer}}}')
+            continue
+        parts.append(f'{{\n{inner}"feature": {_number(feature[node])},\n'
+                     f'{inner}"threshold": {_number(threshold[node])},\n{inner}"left": ')
+        stack += [f"\n{outer}}}", (right[node], inner), f',\n{inner}"right": ', (left[node], inner)]
+    return "".join(parts)
+
+
 def model_to_json(model: BoostedModel) -> str:
-    return json.dumps(model_to_dict(model), indent=2) + "\n"
+    """`json.dumps(model_to_dict(model), indent=2) + "\\n"`, byte for byte,
+    written straight from the tree arrays."""
+    head = json.dumps({**_header(model), "stages": []}, indent=2)  # ends in '[]\n}'
+    if not model.stages:
+        return head + "\n"
+    stages = ",".join(
+        f'\n    {{\n      "weight": {_number(s.weight)},\n'
+        f'      "tree": {_tree_json(s.tree, "      ")}\n    }}'
+        for s in model.stages
+    )
+    return head.removesuffix("[]\n}") + f"[{stages}\n  ]\n}}\n"
 
 
 def save_model(model: BoostedModel, path: str) -> None:
@@ -772,9 +861,11 @@ def load_model(path: str) -> BoostedModel:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
+        return model_from_dict(doc)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model: {exc}") from exc
-    # RecursionError: nesting too deep; UnicodeDecodeError: not UTF-8 text
+    # RecursionError: nesting too deep to parse or to check (a tree deeper than
+    # json's recursion allows saves, but cannot be read back until format v2);
+    # UnicodeDecodeError: not UTF-8 text
     except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
-    return model_from_dict(doc)

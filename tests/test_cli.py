@@ -324,6 +324,24 @@ def test_exit_2_on_command_failure(capsys, tmp_path):
     assert "execution error" in err
 
 
+def test_exit_3_on_command_log_that_is_not_utf8(capsys, tmp_path):
+    script, calls, log = tmp_path / "rig.py", tmp_path / "calls.txt", tmp_path / "bad.csv"
+    script.write_text(
+        "import sys\nw = int(sys.argv[1])\nopen(sys.argv[2], 'a').write(f'{w}\\n')\n"
+        "print(f'{w},{100 - w},100.0,1.0,1.0,1.0,1.0,{float(w)},{100.0 - w}')\n"
+    )
+    log.write_bytes(b"\xff\xfe")
+    code, _, err = run(
+        capsys,
+        "aml", "--space", "ida", "--eval", f'cmd:"{sys.executable}" "{script}" {{CPU-W}} "{calls}"',
+        "--cmd-log", str(log), "--budget", "3",
+    )
+    assert code == 3
+    assert "data error" in err and "not UTF-8" in err
+    assert not calls.exists()  # the command never ran
+    assert log.read_bytes() == b"\xff\xfe"
+
+
 def test_exit_2_on_non_finite_em_value(capsys, tmp_path):
     # A valid measurement row whose efficiency overflows: 1e308 MB for 1e-300 J.
     script = tmp_path / "rig.py"

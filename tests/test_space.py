@@ -107,6 +107,31 @@ def test_validate_unknown_parameter(ida):
     assert any("XXX" in v for v in violations)
 
 
+@pytest.mark.parametrize(
+    "name, value, expected",
+    [
+        ("CPU-W", True, ["parameter 'ACC-W': expected 100 - CPU-W = 99, got 100"]),
+        ("CPU-W", 1.0, []),
+        ("CPU-W", 0.0, []),
+        ("CPU-W", math.nan, ["parameter 'CPU-W': value nan not in domain"]),
+        ("CPU-W", "0", ["parameter 'CPU-W': value '0' not in domain"]),
+        ("CPU-W", [0], ["parameter 'CPU-W': value [0] not in domain"]),
+        ("CPU-W", 101, ["parameter 'CPU-W': value 101 not in domain",
+                        "parameter 'ACC-W': expected 100 - CPU-W = -1, got 100"]),
+        ("CPU-A", 0, ["parameter 'CPU-A': value 0 not in domain"]),
+        ("CPU-A", {"none"}, ["parameter 'CPU-A': value {'none'} not in domain"]),
+    ],
+)
+def test_validate_is_domain_membership(emil, name, value, expected):
+    # As `value in domain`: True == 1 and 1.0 == 1 are members (True then breaks
+    # the complement, being 1), NaN and unhashable values are not.
+    config = emil.make_config(
+        {"CPU-T": 24, "ACC-T": 60, "CPU-A": "none", "ACC-A": "balanced", "CPU-W": 0}
+    )
+    config[name] = value
+    assert emil.validate(config) == expected
+
+
 def test_make_config_fills_derived(emil):
     config = emil.make_config(
         {"CPU-T": 12, "ACC-T": 60, "CPU-A": "none", "ACC-A": "balanced", "CPU-W": 30}

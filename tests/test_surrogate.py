@@ -1,6 +1,7 @@
 """Regression trees, boosting, scoring, validation, and model persistence."""
 
 import hashlib
+import json
 import math
 import os
 import signal
@@ -217,6 +218,44 @@ def test_skewed_tree_memory_stays_bounded():
     assert peak < 4 * 2**20
 
 
+#: SHA-256 of model_to_json for the overflow model below, recorded with the
+#: split search that scored every padded slot.
+OVERFLOW_MODEL_SHA256 = "f34bfa99bb8cb327b8c9fb29cfea8a5e346ef1b85ae8f9aa4bc7744b128eda38"
+
+
+def test_overflowing_targets_model_bytes_pinned():
+    # At |y| ~ 1e200 the squared residuals overflow and every SSE is NaN or inf,
+    # which never wins: each tree is one leaf.
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 8, size=(200, 3)).astype(float)
+    y = (X[:, 0] - 3.5 + rng.normal(size=200)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = fit_boosted(Dataset(("a", "b", "c"), X, y), np.random.default_rng(0),
+                            n_estimators=5, max_depth=None, min_samples_leaf=1)
+    assert [len(s.tree.feature) for s in model.stages] == [1] * 5
+    digest = hashlib.sha256(model_to_json(model).encode("utf-8")).hexdigest()
+    assert digest == OVERFLOW_MODEL_SHA256
+
+
+def test_level_splits_searches_each_node_alone():
+    # Node 0's SSEs are NaN; node 1, searched beside it, splits as it does alone.
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 5, size=(40, 2)).astype(float)
+    yc = np.concatenate([rng.choice([-1e200, 1e200], size=20), rng.normal(size=20)])
+    yc[20:] -= yc[20:].mean()
+    codes, nid = _column_codes(X), np.repeat([0, 1], 20)
+    rows = np.arange(40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        feature, threshold = surrogate._level_splits(
+            X, rows, codes, yc, nid, np.array([20, 20]), 2)
+    alone = surrogate._level_splits(
+        X, rows[20:], codes[20:], yc[20:], np.zeros(20, dtype=np.intp), np.array([20]), 2)
+    assert (feature[0], threshold[0]) == (-1, -math.inf)
+    assert feature[1] >= 0 and (feature[1], threshold[1]) == (alone[0][0], alone[1][0])
+
+
 def test_min_samples_leaf_respected():
     rng = np.random.default_rng(2)
     data = random_dataset(rng, n=50, d=2)
@@ -255,6 +294,27 @@ def test_tree_arrays_are_preorder_with_self_looping_leaves():
     assert parents == [0] + [1] * (n - 1)
     assert tree.leaf_count() == tree.feature.count(-1) == (n + 1) // 2
     assert 1 <= tree.depth() <= 5
+
+
+def walked_depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(walked_depth(tree, tree.left[node]), walked_depth(tree, tree.right[node]))
+
+
+def test_depth_is_the_walk_and_stays_out_of_equality(tmp_path):
+    rng = np.random.default_rng(23)
+    data = random_dataset(rng, n=150, d=3)
+    fitted = fit_tree(data, max_depth=6, min_samples_leaf=1)
+    path = tmp_path / "model.json"
+    save_model(BoostedModel(data.feature_names, (BoostStage(fitted, 1.0),), Hyperparameters()), path)
+    loaded = load_model(path).stages[0].tree
+    for tree in (fitted, loaded, chain_tree(7), chain_tree(0)):
+        assert tree.depth() == walked_depth(tree)
+        fields = [getattr(tree, name) for name in ("feature", "threshold", "left", "right",
+                                                    "value", "n_features")]
+        other = RegressionTree(*fields)
+        assert tree == other and hash(tree) == hash(other) and repr(tree) == repr(other)
 
 
 def test_depth_limit_respected():
@@ -826,5 +886,75 @@ def test_load_model_rejects_too_deeply_nested_tree(tmp_path):
         '{"format": "boosted-regression-tree", "version": 1, '
         f'"stages": [{{"weight": 1.0, "tree": {tree}}}]}}'
     )
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def chain_tree(depth):
+    """A hand-built tree whose splits on x < i + 0.5 each peel off the leaf i."""
+    nodes = []
+    for i in range(depth):
+        split = len(nodes)
+        nodes.append((0, i + 0.5, split + 1, split + 2, math.nan))
+        nodes.append((-1, -math.inf, split + 1, split + 1, float(i)))
+    nodes.append((-1, -math.inf, len(nodes), len(nodes), float(depth)))
+    return RegressionTree(*map(tuple, zip(*nodes)), 1)
+
+
+def json_dumps_v1(model):
+    return json.dumps(model_to_dict(model), indent=2) + "\n"
+
+
+def test_model_json_is_json_dumps_of_the_dict(small_emil_model):
+    _, model = small_emil_model
+    assert model_to_json(model) == json_dumps_v1(model)
+    stump = RegressionTree((-1,), (-math.inf,), (0,), (0,), (-2.5,), 2)
+    odd = RegressionTree(
+        (1, -1, 0, -1, -1), (-0.0, -math.inf, 1e300, -math.inf, -math.inf),
+        (1, 1, 3, 3, 4), (2, 1, 4, 3, 4), (math.nan, -0.0, math.nan, 1e-300, -1e300), 2)
+    for stages in ([BoostStage(stump, 1.0)], [BoostStage(odd, -0.0), BoostStage(stump, 1e-300)],
+                   [BoostStage(chain_tree(5), 1e300)], []):
+        model = BoostedModel(("a", "b"), tuple(stages), Hyperparameters(3, None, 1, 0.5))
+        assert model_to_json(model) == json_dumps_v1(model)
+
+
+def test_deep_tree_saves_but_reads_back_as_format_error(tmp_path):
+    # Deeper than json's recursion allows: the writer has no recursion, but the
+    # v1 document nests one object per node, so reading it back is a clean
+    # ModelFormatError rather than a crash.
+    tree = chain_tree(1100)
+    assert tree.depth() == 1100
+    model = BoostedModel(("x",), (BoostStage(tree, 1.0),), Hyperparameters(1, None, 1))
+    with pytest.raises(RecursionError):
+        json_dumps_v1(model)
+    path = tmp_path / "deep.json"
+    save_model(model, path)
+    text = path.read_text()
+    assert text.count('"feature": 0') == 1100 and text.count('"value"') == 1101
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_chain_tree_saves_loads_and_predicts(tmp_path):
+    tree = chain_tree(300)
+    model = BoostedModel(("x",), (BoostStage(tree, 1.0),), Hyperparameters(1, None, 1))
+    assert model_to_json(model) == json_dumps_v1(model)
+    path = tmp_path / "chain.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back == model
+    X = np.arange(-1.0, 302.0, 0.25)[:, None]
+    assert np.array_equal(predict_boosted_batch(back, X), predict_boosted_batch(model, X))
+    assert predict_boosted_batch(model, X)[[0, -1]].tolist() == [0.0, 300.0]
+
+
+@pytest.mark.parametrize("field", ["version", "loss", "feature_names", "hyperparameters"])
+def test_load_model_rejects_deeply_nested_member(tmp_path, field):
+    depth = 100_000  # far past the JSON decoder's recursion limit
+    doc = {"format": "boosted-regression-tree", "version": 1, "feature_names": ["a"],
+           "loss": "linear", "hyperparameters": {}, "stages": []}
+    nested = "[" * depth + "1" + "]" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({**doc, field: None}).replace(f'"{field}": null', f'"{field}": {nested}'))
     with pytest.raises(ModelFormatError):
         load_model(path)
