@@ -21,7 +21,7 @@ import math
 import re
 import shlex
 import subprocess
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -165,14 +165,49 @@ def _jitter_key(config: Mapping[str, Any]) -> str:
     return "|".join([f"{k}={config[k]}" for k in sorted(config)])
 
 
-def _rugged_factor(seed: int, config: Mapping[str, Any], unit: str, amplitude: float) -> float:
-    """Deterministic multiplicative jitter in [1 - amplitude, 1 + amplitude)."""
+def _value_columns(configs: Sequence[Configuration]) -> dict[str, list[Any]] | None:
+    """Each name's values, in configuration order, where `_jitter_key` can be
+    built a column at a time: every configuration holds the same str names,
+    each with an exact int or str value. None otherwise."""
+    names = list(configs[0]) if configs else []
+    if not names or not all(type(name) is str for name in names):
+        return None
+    if set(map(len, configs)) != {len(names)}:
+        return None
+    try:  # with equal lengths, a name every configuration holds makes equal name sets
+        columns = {name: [c[name] for c in configs] for name in names}
+    except KeyError:
+        return None
+    if not all(set(map(type, column)) <= {int, str} for column in columns.values()):
+        return None  # a bool, float or NumPy value could equal another yet print apart
+    return columns
+
+
+def _joined_keys(columns: Mapping[str, list[Any]]) -> Iterator[str]:
+    """`_jitter_key` of each configuration of `_value_columns`, one at a time:
+    each distinct name=value pair is formatted once."""
+    pairs = []
+    for name in sorted(columns):
+        column = columns[name]
+        formatted = {value: f"{name}={value}" for value in set(column)}
+        pairs.append(map(formatted.__getitem__, column))
+    return map("|".join, zip(*pairs))
+
+
+def _rugged_factors(seed: int, config: Mapping[str, Any], amplitude: float) -> tuple[float, float]:
+    """Deterministic multiplicative jitter of the cpu and the acc unit, each in
+    [1 - amplitude, 1 + amplitude): the configuration's key is hashed once,
+    then each unit's tail from a copy of that state."""
     if amplitude == 0:
-        return 1.0
-    key = _jitter_key(config) + f"|{unit}|{seed}"
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-    unit_noise = int.from_bytes(digest, "big") / 2**63 - 1.0
-    return 1.0 + amplitude * unit_noise
+        return 1.0, 1.0
+    head = hashlib.blake2b(_jitter_key(config).encode("utf-8"), digest_size=8)
+    factors = []
+    for unit in ("cpu", "acc"):
+        unit_hash = head.copy()
+        unit_hash.update(f"|{unit}|{seed}".encode("utf-8"))
+        unit_noise = int.from_bytes(unit_hash.digest(), "big") / 2**63 - 1.0
+        factors.append(1.0 + amplitude * unit_noise)
+    return factors[0], factors[1]
 
 
 def _exact_in_float64(value: Any) -> bool:
@@ -250,11 +285,12 @@ class PccOracle(Evaluator):
         acc_time = acc_comparisons * self.cols * self.acc_op_cost_s
         if acc_comparisons > 0:
             acc_time += self.rows * self.cols * ELEMENT_BYTES / self.transfer_bandwidth_b_s
-        if self.rugged_amplitude > 0:
+        if self.rugged_amplitude > 0 and (cpu_time > 0 or acc_time > 0):
+            cpu_jitter, acc_jitter = _rugged_factors(self.seed, config, self.rugged_amplitude)
             if cpu_time > 0:
-                cpu_time *= _rugged_factor(self.seed, config, "cpu", self.rugged_amplitude)
+                cpu_time *= cpu_jitter
             if acc_time > 0:
-                acc_time *= _rugged_factor(self.seed, config, "acc", self.rugged_amplitude)
+                acc_time *= acc_jitter
 
         if cpu_comparisons == 0:
             cpu_workload = 0.0
@@ -370,16 +406,9 @@ class PatternMatchOracle(Evaluator):
         cpu_workload = self.input_mb * split / 100.0
         acc_workload = self.input_mb - cpu_workload
 
-        cpu_busy = 0.0
-        if split > 0:
-            cpu_busy = (cpu_workload / cpu_rate) * _rugged_factor(
-                self.seed, config, "cpu", self.rugged_amplitude
-            )
-        acc_busy = 0.0
-        if split < 100:
-            acc_busy = (acc_workload / acc_rate) * _rugged_factor(
-                self.seed, config, "acc", self.rugged_amplitude
-            )
+        cpu_jitter, acc_jitter = _rugged_factors(self.seed, config, self.rugged_amplitude)
+        cpu_busy = (cpu_workload / cpu_rate) * cpu_jitter if split > 0 else 0.0
+        acc_busy = (acc_workload / acc_rate) * acc_jitter if split < 100 else 0.0
         duration = max(cpu_busy, acc_busy)
 
         return RawMeasurement(
@@ -397,7 +426,9 @@ class PatternMatchOracle(Evaluator):
         """MB/J of every configuration, bit for bit `[evaluate(c) for c in configs]`.
 
         The jitter is hashed in Python, once per configuration for both
-        units; the rest runs in NumPy with the operations of `measure` and
+        units, with the keys built a column at a time where every
+        configuration holds the same names with int or str values; the rest
+        runs in NumPy with the operations of `measure` and
         `metrics.energy_efficiency`, in the same order. If any configuration
         is off the modeled domain, or gives a measurement that either would
         reject, every configuration goes through `evaluate`, so the first
@@ -416,13 +447,17 @@ class PatternMatchOracle(Evaluator):
         numbers += [factor for table in tables for factor in table.values()]
         if not all(map(_exact_in_float64, numbers)):
             return None
+        columns = _value_columns(configs)
         try:  # evaluate raises it again, for the first configuration that fails
-            splits = [c.get("CPU-W") for c in configs]
-            cpu_t, cpu_a, acc_t, acc_a = (
-                np.array([table[c.get(name)] for c in configs], dtype=np.float64)
-                for table, name in zip(tables, ("CPU-T", "CPU-A", "ACC-T", "ACC-A"))
+            splits, *levels = (
+                columns[name] if columns and name in columns else [c.get(name) for c in configs]
+                for name in ("CPU-W", "CPU-T", "CPU-A", "ACC-T", "ACC-A")
             )
-            cpu_jitter, acc_jitter = self._jitter_factors(configs)
+            cpu_t, cpu_a, acc_t, acc_a = (
+                np.array(list(map(table.__getitem__, level)), dtype=np.float64)
+                for table, level in zip(tables, levels)
+            )
+            cpu_jitter, acc_jitter = self._jitter_factors(configs, columns)
         except Exception:
             return None
         # A split off [0, 100] makes a unit workload negative, which the checks reject.
@@ -449,19 +484,22 @@ class PatternMatchOracle(Evaluator):
             )
         return values.tolist() if valid.all() else None
 
-    def _jitter_factors(self, configs: Sequence[Configuration]) -> tuple[Any, Any]:
-        """`_rugged_factor` of every configuration for the cpu and the acc unit."""
+    def _jitter_factors(
+        self, configs: Sequence[Configuration], columns: Mapping[str, list[Any]] | None
+    ) -> tuple[Any, Any]:
+        """`_rugged_factors` of every configuration; `columns` is `_value_columns(configs)`."""
         if self.rugged_amplitude == 0:
             return 1.0, 1.0
+        keys = map(_jitter_key, configs) if columns is None else _joined_keys(columns)
         tails = [f"|{unit}|{self.seed}".encode("utf-8") for unit in ("cpu", "acc")]
-        digests = []
-        for config in configs:
-            head = hashlib.blake2b(_jitter_key(config).encode("utf-8"), digest_size=8)
+        digests = bytearray()  # one buffer, not a 41-byte object per 8-byte digest
+        for key in keys:
+            head = hashlib.blake2b(key.encode("utf-8"), digest_size=8)
             for tail in tails:
                 unit_hash = head.copy()
                 unit_hash.update(tail)
-                digests.append(unit_hash.digest())
-        draws = np.frombuffer(b"".join(digests), dtype=">u8").astype(np.float64)
+                digests += unit_hash.digest()
+        draws = np.frombuffer(digests, dtype=">u8").astype(np.float64)
         factors = 1.0 + self.rugged_amplitude * (draws / 2**63 - 1.0)
         return factors[0::2], factors[1::2]
 

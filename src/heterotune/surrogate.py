@@ -189,22 +189,25 @@ def _level_splits(
         base[members], stride[members] = end + W * np.arange(len(members)), rows[0].size
         block = slice(end, end + rows.size)
         np.cumsum(rows, axis=2, out=cum_s[block].reshape(rows.shape))
-        np.cumsum(np.multiply(rows, rows, out=rows), axis=2, out=cum_q[block].reshape(rows.shape))
+        with np.errstate(over="ignore"):  # an infinite sum of squares never wins below
+            np.cumsum(np.multiply(rows, rows, out=rows), axis=2, out=cum_q[block].reshape(rows.shape))
         end += rows.size
     at = base[node] + f * stride[node]
     last = at + counts[node] - 1  # the node's last row: its totals
     at += p - starts[node]
     s_left, q_left = cum_s.take(at), cum_q.take(at)
-    s_right, q_right = cum_s.take(last) - s_left, cum_q.take(last) - q_left
     n_left, n_right = n_left[p], n_right[p]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s_right, q_right = cum_s.take(last) - s_left, cum_q.take(last) - q_left
         sse = (q_left - s_left * s_left / n_left) + (q_right - s_right * s_right / n_right)
+    # An overflow gives NaN, or -inf where a square of a sum overflows but the sum
+    # of squares does not; neither is an SSE, so neither wins.
+    sse[~np.isfinite(sse)] = math.inf
     # Candidates come in (feature, node, cut) order; reduce each (feature, node).
     row = f * nodes + node
     first = np.flatnonzero(np.diff(row, prepend=-1))
     best = np.full(d * nodes, math.inf)
-    best[row[first]] = np.minimum.reduceat(sse, first) if len(sse) else []  # min keeps a NaN
-    best[np.isnan(best)] = math.inf  # a NaN never wins, as under `<`
+    best[row[first]] = np.minimum.reduceat(sse, first) if len(sse) else []
     best = best.reshape(d, nodes)
     feature = np.where(best.min(axis=0) < math.inf, best.argmin(axis=0), -1)
     # Each node's first candidate that reaches the minimum of its winning feature:

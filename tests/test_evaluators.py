@@ -1,5 +1,6 @@
 """Evaluators: surrogate/replay adapters, the two synthetic oracles, commands."""
 
+import hashlib
 import math
 import random
 import sys
@@ -29,6 +30,7 @@ from heterotune import (
     save_model,
     write_measurement_log,
 )
+from heterotune.evaluators import _jitter_key, _joined_keys, _rugged_factors, _value_columns
 from heterotune.harness import dataset_from_measurements, gen_dataset
 
 REL = 1e-12
@@ -372,6 +374,64 @@ def test_pm_evaluate_many_is_evaluate_bit_for_bit(emil, overrides, monkeypatch):
     one_at_a_time = outcome(lambda: [oracle.evaluate(c) for c in configs])
     monkeypatch.setattr(oracle, "evaluate", unreachable)  # the NumPy path, every row
     assert outcome(lambda: oracle.evaluate_many(configs)) == one_at_a_time
+
+
+def test_keys_by_columns_are_the_jitter_keys(emil):
+    configs = list(emil.enumerate_all())
+    columns = _value_columns(configs)
+    assert columns is not None and list(columns) == list(configs[0])
+    assert list(_joined_keys(columns)) == [_jitter_key(c) for c in configs]
+
+
+def unit_jitter(seed, config, unit, amplitude):
+    """One unit's jitter with the key hashed whole: key, unit and seed in one string."""
+    key = _jitter_key(config) + f"|{unit}|{seed}"
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    return 1.0 + amplitude * (int.from_bytes(digest, "big") / 2**63 - 1.0)
+
+
+@pytest.mark.parametrize("seed, amplitude", [(0, 0.03), (7, 0.5), (3, 0.0)])
+def test_rugged_factors_hash_each_unit_tail_after_one_key(emil, seed, amplitude):
+    rng = random.Random(seed)
+    for config in [emil.random_config(rng) for _ in range(50)] + [{"CPU-W": 5, "n": 1.5}]:
+        assert _rugged_factors(seed, config, amplitude) == tuple(
+            unit_jitter(seed, config, unit, amplitude) for unit in ("cpu", "acc"))
+
+
+def with_changes(configs, change, every=3):
+    """Copies of `configs` with `change(config)` applied to every `every`-th one."""
+    out = [dict(c) for c in configs]
+    for config in out[::every]:
+        change(config)
+    return out
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # name=value pairs that compare equal but print apart: True/1, 1.0/1, -0.0/0
+        lambda cs: with_changes([{**c, "X": 1} for c in cs], lambda c: c.update(X=True)),
+        lambda cs: with_changes(cs, lambda c: c.update({"CPU-T": float(c["CPU-T"])})),
+        lambda cs: with_changes([{**c, "X": 0} for c in cs], lambda c: c.update(X=-0.0)),
+        lambda cs: with_changes(cs, lambda c: c.update({"CPU-T": np.int64(c["CPU-T"])})),
+        lambda cs: with_changes(cs, lambda c: c.update(X=3), every=len(cs)),
+        lambda cs: with_changes(cs, lambda c: c.pop("ACC-A"), every=len(cs) - 1),
+        lambda cs: [{**c, "X" if i % 2 else "Y": 3} for i, c in enumerate(cs)],
+        lambda cs: [],
+        lambda cs: [{} for c in cs],
+    ],
+    ids=["true", "float", "negative-zero", "np-int64", "extra-key", "missing-key",
+         "mixed-key-sets", "empty", "no-names"],
+)
+def test_pm_evaluate_many_keys_each_configuration_where_columns_cannot(emil, case, monkeypatch):
+    rng = random.Random(11)
+    configs = case([emil.random_config(rng) for _ in range(200)])
+    assert _value_columns(configs) is None
+    oracle = PatternMatchOracle()
+    expected = outcome(lambda: [oracle.evaluate(c) for c in configs])
+    if isinstance(expected, bytes):
+        monkeypatch.setattr(oracle, "evaluate", unreachable)  # the NumPy path, every row
+    assert outcome(lambda: oracle.evaluate_many(configs)) == expected
 
 
 def test_model_evaluate_many_is_evaluate_bit_for_bit(emil, emil_8_tree_model):

@@ -1,5 +1,6 @@
 """Configuration-space behaviour: domains, enumeration, mutation, encoding."""
 
+import itertools
 import math
 import random
 
@@ -67,6 +68,47 @@ def test_enumerate_count_matches_cardinality(name):
     assert len(keys) == len(configs)
     for config in configs[:50]:
         assert space.validate(config) == []
+
+
+def enumerate_by_make_config(space):
+    """Every configuration, each built by `make_config` from its free values."""
+    free = [p.name for p in space.free_parameters]
+    for combo in itertools.product(*(p.domain for p in space.free_parameters)):
+        yield space.make_config(dict(zip(free, combo)))
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        bundled_space("emil"),
+        bundled_space("ida"),
+        make_space(
+            [
+                {"name": "B-W", "derived_from": "A-W"},
+                {"name": "A-W", "kind": "range", "min": 0, "max": 100},
+                {"name": "T", "kind": "levels", "values": [1, 2, 4]},
+                {"name": "M", "kind": "categorical", "labels": ["x", "y"]},
+            ],
+            name="source-not-last",
+        ),
+        make_space(
+            [
+                {"name": "T", "kind": "levels", "values": [1, 2, 4]},
+                {"name": "M", "kind": "categorical", "labels": ["x", "y"]},
+            ],
+            name="no-derived",
+        ),
+    ],
+    ids=lambda space: space.name,
+)
+def test_enumerate_matches_make_config_in_order_and_key_order(space):
+    def items(configs):
+        return [[(k, type(v), v) for k, v in c.items()] for c in configs]
+
+    first, second = list(space.enumerate_all()), list(space.enumerate_all())
+    assert items(first) == items(second) == items(enumerate_by_make_config(space))
+    # fresh dicts: none is shared within a call or between calls
+    assert len({id(c) for c in first + second}) == 2 * len(first)
 
 
 def test_enumerate_fills_derived_complement(ida):

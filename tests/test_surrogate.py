@@ -238,6 +238,32 @@ def test_overflowing_targets_model_bytes_pinned():
     assert digest == OVERFLOW_MODEL_SHA256
 
 
+def test_overflowing_targets_fit_without_warnings():
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 8, size=(200, 3)).astype(float)
+    y = (X[:, 0] - 3.5 + rng.normal(size=200)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_boosted(Dataset(("a", "b", "c"), X, y), np.random.default_rng(0),
+                    n_estimators=5, max_depth=None, min_samples_leaf=1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**508])
+def test_sse_that_overflows_to_minus_inf_never_wins(scale):
+    # One node of 40 rows: x0 cuts it 20/20 and x1 isolates row 0, the better cut
+    # (child SSE 185 - 90 against 185 - 124.1, times scale**2). At 2**508 the square
+    # of x0's left sum (30 * scale) overflows while every sum of squares stays
+    # finite, so x0's SSE reads -inf; it must lose as a NaN does.
+    X = np.column_stack([np.repeat([0.0, 1.0], 20), np.eye(40)[0]])
+    yc = np.concatenate([[11.0], np.ones(19), np.full(20, -1.5)]) * scale
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(np.float64(30 * scale) ** 2)
+    assert overflows == (scale > 1) and math.isfinite(yc @ yc)
+    feature, threshold = surrogate._level_splits(
+        X, np.arange(40), _column_codes(X), yc, np.zeros(40, dtype=np.intp), np.array([40]), 1)
+    assert (feature[0], threshold[0]) == (1, 0.5)
+
+
 def test_level_splits_searches_each_node_alone():
     # Node 0's SSEs are NaN; node 1, searched beside it, splits as it does alone.
     rng = np.random.default_rng(5)
