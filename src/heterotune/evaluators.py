@@ -426,14 +426,14 @@ class PatternMatchOracle(Evaluator):
         """MB/J of every configuration, bit for bit `[evaluate(c) for c in configs]`.
 
         The jitter is hashed in Python, once per configuration for both
-        units, with the keys built a column at a time where every
-        configuration holds the same names with int or str values; the rest
-        runs in NumPy with the operations of `measure` and
-        `metrics.energy_efficiency`, in the same order. If any configuration
-        is off the modeled domain, or gives a measurement that either would
-        reject, every configuration goes through `evaluate`, so the first
-        failing one raises its own error. A subclass that changes `measure`
-        or `evaluate` must override this too.
+        units, with the keys built a column at a time; the rest runs in NumPy
+        with the operations of `measure` and `metrics.energy_efficiency`, in
+        the same order. If the configurations do not all hold the same names
+        with exact int or str values, if any is off the modeled domain, or if
+        any gives a measurement that either would reject, every configuration
+        goes through `evaluate`, so the first failing one raises its own
+        error. A subclass that changes `measure` or `evaluate` must override
+        this too.
         """
         values = self._vector_efficiencies(configs)
         return [self.evaluate(c) for c in configs] if values is None else values
@@ -448,16 +448,17 @@ class PatternMatchOracle(Evaluator):
         if not all(map(_exact_in_float64, numbers)):
             return None
         columns = _value_columns(configs)
+        if columns is None:
+            return None
         try:  # evaluate raises it again, for the first configuration that fails
             splits, *levels = (
-                columns[name] if columns and name in columns else [c.get(name) for c in configs]
-                for name in ("CPU-W", "CPU-T", "CPU-A", "ACC-T", "ACC-A")
+                columns[name] for name in ("CPU-W", "CPU-T", "CPU-A", "ACC-T", "ACC-A")
             )
             cpu_t, cpu_a, acc_t, acc_a = (
                 np.array(list(map(table.__getitem__, level)), dtype=np.float64)
                 for table, level in zip(tables, levels)
             )
-            cpu_jitter, acc_jitter = self._jitter_factors(configs, columns)
+            cpu_jitter, acc_jitter = self._jitter_factors(columns)
         except Exception:
             return None
         # A split off [0, 100] makes a unit workload negative, which the checks reject.
@@ -484,16 +485,13 @@ class PatternMatchOracle(Evaluator):
             )
         return values.tolist() if valid.all() else None
 
-    def _jitter_factors(
-        self, configs: Sequence[Configuration], columns: Mapping[str, list[Any]] | None
-    ) -> tuple[Any, Any]:
-        """`_rugged_factors` of every configuration; `columns` is `_value_columns(configs)`."""
+    def _jitter_factors(self, columns: Mapping[str, list[Any]]) -> tuple[Any, Any]:
+        """`_rugged_factors` of every configuration of `_value_columns`."""
         if self.rugged_amplitude == 0:
             return 1.0, 1.0
-        keys = map(_jitter_key, configs) if columns is None else _joined_keys(columns)
         tails = [f"|{unit}|{self.seed}".encode("utf-8") for unit in ("cpu", "acc")]
         digests = bytearray()  # one buffer, not a 41-byte object per 8-byte digest
-        for key in keys:
+        for key in _joined_keys(columns):
             head = hashlib.blake2b(key.encode("utf-8"), digest_size=8)
             for tail in tails:
                 unit_hash = head.copy()

@@ -243,12 +243,9 @@ class ParameterSpace:
     def enumerate_all(self) -> Iterator[Configuration]:
         """Yield every configuration in lexicographic domain order."""
         free_names = tuple(p.name for p in self._free)
-        # Each source is free, so its value sits in the combination itself.
-        derived = [(name, free_names.index(source)) for name, source in self._derived]
         for combo in itertools.product(*(p.domain for p in self._free)):
             config = dict(zip(free_names, combo))
-            for name, at in derived:
-                config[name] = COMPLEMENT_TOTAL - combo[at]
+            self._fill_derived(config)
             yield config
 
     def _fill_derived(self, config: Configuration) -> None:

@@ -1,4 +1,7 @@
-"""The recursive CART builder that level-wise growth replaced, kept verbatim.
+"""The recursive CART builder that level-wise growth replaced.
+
+It is kept as it was, except that an SSE that overflowed to -inf loses as a
+NaN or +inf one does.
 
 `tests/test_surrogate.py` compares the trees of `heterotune.surrogate` with
 the ones this builder grows: the five node arrays must be identical.
@@ -67,7 +70,7 @@ def _best_split(
             sse = (q_left - s_left * s_left / w_left) + (
                 q_right - s_right * s_right / w_right
             )
-        sse = np.where(valid, sse, math.inf)
+        sse = np.where(valid & np.isfinite(sse), sse, math.inf)
         k = int(np.argmin(sse))  # first minimum: lowest threshold wins
         if sse[k] < best_sse:
             threshold = (xs[k] + xs[k + 1]) / 2.0

@@ -264,6 +264,28 @@ def test_sse_that_overflows_to_minus_inf_never_wins(scale):
     assert (feature[0], threshold[0]) == (1, 0.5)
 
 
+def overflowing_data(exponent):
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 8, size=(200, 3)).astype(float)
+    return X, (X[:, 0] - 3.5 + rng.normal(size=200)) * 10.0**exponent
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 2])
+@pytest.mark.parametrize("max_depth", [None, 2, 8])
+def test_tree_matches_recursive_reference_where_sses_overflow(max_depth, min_samples_leaf):
+    # At |y| ~ 1e152 some running sums square to inf while the sums of squares stay
+    # finite, so some SSEs read -inf; the node of 2**508 below has one such SSE.
+    X2 = np.column_stack([np.repeat([0.0, 1.0], 20), np.eye(40)[0]])
+    y2 = np.concatenate([[11.0], np.ones(19), np.full(20, -1.5)]) * 2.0**508
+    for X, y in (overflowing_data(152), (X2, y2)):
+        tree = fit_tree(Dataset(tuple("abc")[:X.shape[1]], X, y), max_depth, min_samples_leaf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reference = reference_tree._build_tree(
+                X, y, np.ones(len(y)), max_depth, min_samples_leaf)
+        assert_same_tree(tree, reference)
+
+
 def test_level_splits_searches_each_node_alone():
     # Node 0's SSEs are NaN; node 1, searched beside it, splits as it does alone.
     rng = np.random.default_rng(5)
