@@ -17,6 +17,7 @@ none.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 import shlex
@@ -106,10 +107,10 @@ class ModelEvaluator(Evaluator):
 
     def evaluate_many(self, configs: Sequence[Configuration]) -> list[float]:
         """One batch prediction, bit for bit the one-row predictions."""
-        matrix = np.array([self.space.encode(c) for c in configs], dtype=np.float64)
-        return predict_boosted_batch(
-            self.model, matrix.reshape(-1, len(self.space.names))
-        ).tolist()
+        d = len(self.space.names)
+        matrix = np.fromiter(itertools.chain.from_iterable(map(self.space.encode, configs)),
+                             dtype=np.float64, count=len(configs) * d)
+        return predict_boosted_batch(self.model, matrix.reshape(-1, d)).tolist()
 
     def describe(self) -> str:
         origin = self.source or "in-memory"

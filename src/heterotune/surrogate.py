@@ -32,6 +32,9 @@ class ModelFormatError(ValueError):
 MODEL_FORMAT = "boosted-regression-tree"
 MODEL_VERSION = 1
 LINEAR_LOSS = "linear"
+# Rows per block of batch prediction. Smaller blocks cost more per-call
+# overhead; larger ones raise the peak memory.
+PREDICT_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -299,24 +302,37 @@ def predict_tree(tree: RegressionTree, x: Sequence[float]) -> float:
     return _walk(tree, np.asarray(x, dtype=np.float64).tolist())
 
 
-def predict_tree_batch(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    """Predict a feature matrix, one value per row, descending level by level.
+TreeArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
+
+
+def _tree_arrays(tree: RegressionTree) -> TreeArrays:
+    """A tree as the NumPy arrays that `_descend` reads, and its depth."""
+    feature = np.maximum(np.array(tree.feature, dtype=np.intp), 0)  # leaves read column 0
+    # children[2 * node + 1] is taken where x < threshold, so NaN goes right.
+    children = np.array([tree.right, tree.left], dtype=np.intp).T.ravel()
+    return feature, np.array(tree.threshold), children, np.array(tree.value), tree.depth()
+
+
+def _descend(arrays: TreeArrays, X: np.ndarray, row_start: np.ndarray) -> np.ndarray:
+    """Each row's leaf value, descending level by level; row_start is
+    np.arange(len(X)) * X.shape[1], as X.take indexes the flattened rows.
 
     A row stays on its leaf: x < -inf is false and a leaf's right child is itself.
     """
+    feature, threshold, children, value, depth = arrays
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    for _ in range(depth):
+        goes_left = X.take(feature.take(node) + row_start) < threshold.take(node)
+        node = children.take(2 * node + goes_left)
+    return value.take(node)
+
+
+def predict_tree_batch(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
+    """Predict a feature matrix, one value per row."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.n_features:
         raise ValueError(f"expected an (n, {tree.n_features}) feature matrix")
-    row_start = np.arange(X.shape[0]) * X.shape[1]  # X.take indexes the flattened rows
-    feature = np.maximum(np.array(tree.feature, dtype=np.intp), 0)  # leaves read column 0
-    threshold = np.array(tree.threshold)
-    # children[2 * node + 1] is taken where x < threshold, so NaN goes right.
-    children = np.array([tree.right, tree.left], dtype=np.intp).T.ravel()
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    for _ in range(tree.depth()):
-        goes_left = X.take(feature.take(node) + row_start) < threshold.take(node)
-        node = children.take(2 * node + goes_left)
-    return np.array(tree.value).take(node)
+    return _descend(_tree_arrays(tree), X, np.arange(X.shape[0]) * X.shape[1])
 
 
 # ----- boosted ensemble -----------------------------------------------------
@@ -392,17 +408,14 @@ def fit_boosted(
 
 
 def _weighted_median_rows(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted median of each row of an (n, stages) prediction matrix.
-
-    Rows, not columns, so that each sort and running sum reads contiguous
-    memory; the order and the sums are the same either way.
-    """
+    """Weighted median of each row of an (n, stages) prediction matrix: the
+    prediction of the stage the sort order reaches half the total weight at."""
     order = np.argsort(predictions, axis=1, kind="stable")
-    sorted_preds = np.take_along_axis(predictions, order, axis=1)
-    cdf = np.cumsum(weights[order], axis=1)
-    above = cdf >= 0.5 * cdf[:, -1:]
-    median_idx = above.argmax(axis=1)
-    return sorted_preds[np.arange(predictions.shape[0]), median_idx]
+    cdf = weights.take(order)
+    np.cumsum(cdf, axis=1, out=cdf)
+    median = (cdf >= 0.5 * cdf[:, -1:]).argmax(axis=1)
+    rows = np.arange(len(order))
+    return predictions[rows, order[rows, median]]
 
 
 def predict_boosted(model: BoostedModel, x: Sequence[float]) -> float:
@@ -427,13 +440,28 @@ def predict_boosted(model: BoostedModel, x: Sequence[float]) -> float:
 
 
 def predict_boosted_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:
-    """Predict a feature matrix, one value per row."""
+    """Predict a feature matrix, one value per row.
+
+    Rows go through in blocks of PREDICT_BLOCK_ROWS, so the working memory is
+    bounded by the block size times the number of stages, whatever the number
+    of rows. Each row is predicted on its own, so blocking changes no bit.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise ValueError(f"expected an (n, {len(model.feature_names)}) feature matrix")
-    predictions = np.column_stack([predict_tree_batch(s.tree, X) for s in model.stages])
+    trees = [_tree_arrays(s.tree) for s in model.stages]
     weights = np.array([s.weight for s in model.stages])
-    return _weighted_median_rows(predictions, weights)
+    n, block = X.shape[0], PREDICT_BLOCK_ROWS
+    row_start = np.arange(min(n, block)) * X.shape[1]
+    stage_major = np.empty((len(trees), min(n, block)))  # a tree's block of values is one row
+    result = np.empty(n)
+    for first in range(0, n, block):
+        rows = np.ascontiguousarray(X[first:first + block])  # X.take reads rows flat
+        m = rows.shape[0]
+        for stage, arrays in enumerate(trees):
+            stage_major[stage, :m] = _descend(arrays, rows, row_start[:m])
+        result[first:first + m] = _weighted_median_rows(stage_major[:, :m].T, weights)
+    return result
 
 
 # ----- scoring and validation schemes ---------------------------------------
@@ -734,11 +762,36 @@ def _tree_to_dict(tree: RegressionTree) -> dict[str, Any]:
     return docs[0]
 
 
+def _exact(raw: Any, kind: type, what: str) -> Any:
+    """A model value as read, if JSON gave exactly `kind` (a bool is no int)."""
+    if type(raw) is not kind:
+        raise ModelFormatError(f"{what} must be a JSON {kind.__name__}, got {raw!r}")
+    return raw
+
+
 def _finite(raw: Any, what: str) -> float:
-    value = float(raw)
+    """A model number as a float, if JSON gave a finite number (a bool is none)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ModelFormatError(f"{what} must be a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError:  # an int past the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ModelFormatError(f"{what} {value!r} is not finite")
     return value
+
+
+def _hyperparameters(raw: Any) -> Hyperparameters:
+    """Hyperparameters as read; a missing one takes its default."""
+    if not isinstance(raw, dict):
+        raise ModelFormatError("hyperparameters must be a mapping")
+    for name in ("n_estimators", "max_depth", "min_samples_leaf"):
+        if name in raw and not (name == "max_depth" and raw[name] is None):
+            _exact(raw[name], int, f"hyperparameter {name}")
+    if "learning_rate" in raw:
+        _finite(raw["learning_rate"], "hyperparameter learning_rate")
+    return Hyperparameters(**raw)
 
 
 def _tree_from_dict(doc: Any, n_features: int) -> RegressionTree:
@@ -755,7 +808,7 @@ def _tree_from_dict(doc: Any, n_features: int) -> RegressionTree:
         if "value" in node_doc:
             nodes.append([-1, -math.inf, node, node, _finite(node_doc["value"], "leaf value")])
             continue
-        feature = int(node_doc["feature"])
+        feature = _exact(node_doc["feature"], int, "split feature")
         if not 0 <= feature < n_features:
             raise ModelFormatError(f"split feature {feature} is outside [0, {n_features})")
         threshold = _finite(node_doc["threshold"], "split threshold")
@@ -791,8 +844,9 @@ def model_from_dict(doc: Any) -> BoostedModel:
     if doc.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
     try:
-        feature_names = tuple(str(n) for n in doc["feature_names"])
-        hyper = Hyperparameters(**doc["hyperparameters"])
+        names = _exact(doc["feature_names"], list, "feature_names")
+        feature_names = tuple(_exact(name, str, "feature name") for name in names)
+        hyper = _hyperparameters(doc["hyperparameters"])
         stages = tuple(
             BoostStage(
                 _tree_from_dict(entry["tree"], len(feature_names)),
@@ -800,7 +854,7 @@ def model_from_dict(doc: Any) -> BoostedModel:
             )
             for entry in doc["stages"]
         )
-        loss = str(doc.get("loss", LINEAR_LOSS))
+        loss = _exact(doc.get("loss", LINEAR_LOSS), str, "loss")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if not stages:

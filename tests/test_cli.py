@@ -553,6 +553,18 @@ def test_exit_3_on_out_of_range_feature(capsys, tmp_path):
     assert "split feature 7" in err
 
 
+def test_exit_3_on_fractional_feature(capsys, tmp_path):
+    model = train_ida_model(capsys, tmp_path)
+    corrupt_root_split(model, "feature", 0.9)  # once read as feature 0
+    code, _, err = run(
+        capsys,
+        "predict", "--space", "ida", "--model", str(model), "--config", "CPU-W=5",
+    )
+    assert code == 3
+    assert "data error" in err
+    assert "split feature must be a JSON int" in err
+
+
 def test_exit_3_on_nan_threshold(capsys, tmp_path):
     model = train_ida_model(capsys, tmp_path)
     corrupt_root_split(model, "threshold", float("nan"))
