@@ -118,14 +118,16 @@ def acceptance_probability(
     probability is exp(delta / temperature) with delta the value change
     normalized by max(|best_value|, 1e-9).
     """
-    for name, value in (
-        ("current_value", current_value),
-        ("candidate_value", candidate_value),
-        ("temperature", temperature),
-        ("best_value", best_value),
-    ):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not (math.isfinite(current_value) and math.isfinite(candidate_value)
+            and math.isfinite(temperature) and math.isfinite(best_value)):
+        for name, value in (
+            ("current_value", current_value),
+            ("candidate_value", candidate_value),
+            ("temperature", temperature),
+            ("best_value", best_value),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     scale = max(abs(best_value), SCALE_EPSILON)
@@ -169,8 +171,9 @@ def anneal(space: ParameterSpace, evaluator: Any, params: AnnealParams) -> Searc
 
     def evaluate(config: Configuration) -> float:
         key = space.config_key(config)
-        if key in cache:
-            return cache[key][1]
+        hit = cache.get(key)
+        if hit is not None:
+            return hit[1]
         try:
             value = float(evaluator.evaluate(config))
         except Exception as exc:

@@ -344,11 +344,21 @@ def gen_dataset(
 def dataset_from_measurements(
     space: ParameterSpace, rows: Sequence[RawMeasurement]
 ) -> Dataset:
-    """Encode measurements into a training dataset (target: MB/J)."""
-    return Dataset.from_rows(
-        space.names,
-        [(space.encode(m.config), metrics.energy_efficiency(m)) for m in rows],
-    )
+    """Encode measurements into a training dataset (target: MB/J).
+
+    A row whose efficiency is undefined (zero total power, or energy over a
+    zero time) cannot be a target: it is a MeasurementLogError naming the
+    row's 1-based position.
+    """
+    pairs = []
+    for number, m in enumerate(rows, 1):
+        features = space.encode(m.config)
+        try:
+            target = metrics.energy_efficiency(m)
+        except (metrics.InvalidMeasurementError, metrics.UndefinedEfficiencyError) as exc:
+            raise MeasurementLogError(f"measurement row {number} ({m.config!r}): {exc}") from exc
+        pairs.append((features, target))
+    return Dataset.from_rows(space.names, pairs)
 
 
 def dataset_from_log(path: str, space: ParameterSpace) -> Dataset:

@@ -207,7 +207,12 @@ class ParameterSpace:
             "_derived": tuple(
                 (p.name, p.derived_from) for p in self.parameters if p.is_derived
             ),
-            "_mutable": tuple(p for p in free if p.size > 1),
+            # Per movable parameter: the exact value type of its domain and a
+            # value -> position table, so `neighbor` skips `domain.index` on a hit.
+            "_moves": tuple(
+                (p, int if p.is_numeric else str, {v: i for i, v in enumerate(p.domain)})
+                for p in free if p.size > 1
+            ),
             # Per parameter: the exact value type of its domain and a
             # value -> code table, so `encode` skips `code_of` on a hit.
             "_encoders": tuple(
@@ -323,13 +328,15 @@ class ParameterSpace:
         different level otherwise; categorical parameters draw uniformly
         among the other labels.
         """
-        if not self._mutable:
+        if not self._moves:
             raise NoNeighborError(
                 f"space {self.name!r} has no free parameter with more than one value"
             )
-        param = rng.choice(self._mutable)
+        param, value_type, positions = rng.choice(self._moves)
         current = config[param.name]
-        idx = param.domain.index(current)
+        idx = positions.get(current) if type(current) is value_type else None
+        if idx is None:
+            idx = param.domain.index(current)
         if param.is_numeric and rng.random() < ADJACENT_MOVE_PROBABILITY:
             if idx == 0:
                 new_idx = 1
@@ -379,7 +386,7 @@ class ParameterSpace:
     def config_key(self, config: Mapping[str, Any]) -> tuple[Any, ...]:
         """Hashable identity of a configuration (values in space order)."""
         try:
-            return tuple(config[name] for name in self.names)
+            return tuple(map(config.__getitem__, self._names))
         except KeyError as exc:
             raise EncodingError(f"missing parameter {exc.args[0]!r}") from None
 

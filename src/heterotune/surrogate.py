@@ -351,6 +351,16 @@ class BoostedModel:
     hyperparameters: Hyperparameters
     loss: str = LINEAR_LOSS
 
+    def __post_init__(self) -> None:
+        # One-row prediction reads this table: the element types of a row it
+        # walks as given, each stage's tree arrays and the stage weights. It is
+        # not a field, so equality and the hash stay on the model; as on
+        # RegressionTree, it is set on every model alike.
+        trees = tuple((s.tree.feature, s.tree.threshold, s.tree.left, s.tree.right, s.tree.value)
+                      for s in self.stages)
+        object.__setattr__(self, "_walk_table", (
+            (float,) * len(self.feature_names), trees, tuple(s.weight for s in self.stages)))
+
 
 def fit_boosted(
     data: Dataset,
@@ -422,20 +432,30 @@ def predict_boosted(model: BoostedModel, x: Sequence[float]) -> float:
     """Predict one feature vector: one root-to-leaf walk per tree, combined
     exactly as in `predict_boosted_batch`, so both give the same bits.
 
+    A tuple of exactly one Python float per feature, as `ParameterSpace.encode`
+    returns, is walked as it is; any other input goes through NumPy first.
     The stable sort breaks ties by stage index as NumPy's stable argsort
     does, and the running sum adds in the same order as `np.cumsum`.
     """
-    row = np.asarray(x, dtype=np.float64)
-    if row.shape != (len(model.feature_names),):
-        raise ValueError(f"expected {len(model.feature_names)} features, got shape {row.shape}")
-    row_list = row.tolist()
-    stages = model.stages
-    predictions = [_walk(s.tree, row_list) for s in stages]
-    order = sorted(range(len(stages)), key=predictions.__getitem__)
-    cdf = list(itertools.accumulate(stages[i].weight for i in order))
-    half = 0.5 * cdf[-1]
-    # argmax over an all-False row picks the first stage, hence the default.
-    median = next((i for i, c in zip(order, cdf) if c >= half), order[0])
+    row_types, trees, weights = model._walk_table
+    if not (type(x) is tuple and tuple(map(type, x)) == row_types):
+        row = np.asarray(x, dtype=np.float64)
+        if row.shape != (len(row_types),):
+            raise ValueError(f"expected {len(row_types)} features, got shape {row.shape}")
+        x = row.tolist()
+    predictions = []
+    for feature, threshold, left, right, value in trees:
+        node = 0
+        f = feature[0]
+        while f >= 0:
+            node = left[node] if x[f] < threshold[node] else right[node]
+            f = feature[node]
+        predictions.append(value[node])
+    order = sorted(range(len(predictions)), key=predictions.__getitem__)
+    cdf = list(itertools.accumulate(map(weights.__getitem__, order)))
+    # The first stage whose running weight reaches half the total; argmax over
+    # an all-False row picks the first stage, hence the default.
+    median = next(itertools.compress(order, map((0.5 * cdf[-1]).__le__, cdf)), order[0])
     return float(predictions[median])
 
 

@@ -143,14 +143,25 @@ def test_criterion_2b_budget_claim_over_model(emil, emil_model):
     budget = int(0.07 * emil.cardinality())
     evaluator = ModelEvaluator(emil_model, emil)
 
-    ratios = []
+    ratios, winners = [], []
     for seed in range(30):
         trace = anneal(
             emil, evaluator, AnnealParams(evaluation_budget=budget, seed=seed)
         )
         assert trace.evaluations_used <= budget + 3
         ratios.append(oracle.evaluate(trace.winner_config) / em.best_value)
+        winners.append(trace.winner_value)
     elapsed = time.perf_counter() - started
+
+    # Where the loss comes from, reported but not bounded. Model regret: the
+    # oracle's value at the model's own argmax over the EM optimum. Search
+    # regret: the winner's model value over the model maximum (median over seeds).
+    configs = list(emil.enumerate_all())
+    predictions = evaluator.evaluate_many(configs)
+    model_max = max(predictions)
+    model_argmax = configs[predictions.index(model_max)]
+    model_regret = oracle.evaluate(model_argmax) / em.best_value
+    search_regret = statistics.median(value / model_max for value in winners)
 
     # Measured on a 2-core box: median 96.40 %, lowest seed 93.25 %, 3.2 s.
     median = statistics.median(ratios)
@@ -162,7 +173,9 @@ def test_criterion_2b_budget_claim_over_model(emil, emil_model):
         f"budget {budget} over the 5000-row surrogate, picks measured with the "
         f"oracle: median {100 * median:.2f}% of the exhaustive optimum "
         f"(need >= 95%), lowest seed {100 * min(ratios):.2f}% (need >= 90%), "
-        f"in {elapsed:.1f} s (need < 30 s)",
+        f"in {elapsed:.1f} s (need < 30 s); model regret {100 * model_regret:.2f}% "
+        f"(the model's argmax measured), search regret {100 * search_regret:.2f}% "
+        f"(median winner over the model maximum)",
     )
     assert ok, line
 
@@ -239,8 +252,9 @@ def test_criterion_3b_one_row_speed_claim(emil, emil_model, command_latency):
         passes.append((time.perf_counter() - started) / len(configs))
     one_row_seconds = min(passes)
 
-    # Bound fixed before the first run. Measured on a 2-core box: 75-115 us
-    # against 167-199 ms, 1450-2300x.
+    # Bound fixed before the first run. Measured on a 2-core box: 40-62 us
+    # against 155-174 ms, 2690-3880x (75-115 us and 1450-2310x before one-row
+    # prediction walked a per-model table).
     speedup = command_latency / one_row_seconds
     ok = speedup >= 1000.0
     line = verdict(

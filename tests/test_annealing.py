@@ -91,10 +91,13 @@ def test_probability_monotone_in_temperature_for_worse():
 
 
 def test_non_finite_inputs_rejected():
-    with pytest.raises(ValueError):
-        acceptance_probability(math.nan, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        acceptance_probability(1.0, math.inf, 1.0, 1.0)
+    names = ("current_value", "candidate_value", "temperature", "best_value")
+    for position, name in enumerate(names):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = [1.0, 1.0, 1.0, 1.0]
+            args[position] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+                acceptance_probability(*args)
 
 
 def test_non_positive_temperature_rejected():

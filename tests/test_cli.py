@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from heterotune import CampaignReport, bundled_data_path, surrogate
+from heterotune import (
+    CampaignReport, bundled_data_path, bundled_space, read_measurement_log, surrogate,
+)
 from heterotune.cli import main
 
 REPLAY = f"replay:{bundled_data_path('ida_512x32768_em')}"
@@ -218,6 +220,29 @@ def test_train_exits_2_when_a_training_process_dies(capsys, tmp_path, monkeypatc
     )
     assert code == 2
     assert "execution error" in err and "exited with status 5" in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [({"cpu_energy_j": "0.0", "acc_energy_j": "0.0"}, "zero total power"),
+     ({"cpu_time_s": "0.0"}, "cpu unit has energy 676.0169472 but zero time")],
+    ids=["zero-energy", "energy-over-zero-time"],
+)
+def test_train_exits_3_naming_a_row_without_an_efficiency(capsys, tmp_path, edits, message):
+    log, bad, model = tmp_path / "ida.csv", tmp_path / "bad.csv", tmp_path / "model.json"
+    run(capsys, "gen", "--space", "ida", "--oracle", "ida-pcc", "--out", str(log))
+    lines = log.read_text().splitlines()
+    header, fields = lines[0].split(","), lines[51].split(",")
+    assert fields[:2] == ["50", "50"]  # both units busy: times and workloads are not 0
+    for column, value in edits.items():
+        fields[header.index(column)] = value
+    lines[51] = ",".join(fields)
+    bad.write_text("\n".join(lines) + "\n")
+    assert len(read_measurement_log(str(bad), bundled_space("ida"))) == 101  # the log reads
+    code, _, err = run(capsys, "train", "--space", "ida", "--log", str(bad), "--out", str(model))
+    assert code == 3
+    assert "data error: measurement row 51 ({'CPU-W': 50, 'GPU-W': 50}): " + message in err
     assert not model.exists()
 
 

@@ -27,6 +27,7 @@ from heterotune import (
     make_evaluator,
     make_oracle,
     predict_boosted,
+    predict_boosted_batch,
     save_model,
     write_measurement_log,
 )
@@ -55,6 +56,47 @@ def test_model_evaluator_matches_direct_prediction(emil, small_emil_model):
         assert evaluator.evaluate(config) == predict_boosted(
             small_emil_model, emil.encode(config)
         )
+
+
+def test_one_row_inputs_give_the_batch_bits(emil, small_emil_model):
+    """An encoded tuple of floats is walked as it is; every other input goes
+    through NumPy. Both give `predict_boosted_batch`'s bits."""
+    row = emil.encode(emil.make_config({"CPU-T": 24, "ACC-T": 180, "CPU-A": "scatter",
+                                        "ACC-A": "balanced", "CPU-W": 37}))
+    assert type(row) is tuple and all(type(v) is float for v in row)
+    assert row[2] == 1.0  # scatter, which the bool below stands for
+    [expected] = predict_boosted_batch(small_emil_model, np.array([row])).tolist()
+    ints = tuple(int(v) for v in row)
+    inputs = {
+        "tuple of floats": row,
+        "list": list(row),
+        "1-D ndarray": np.array(row),
+        "tuple of ints": ints,
+        "tuple holding a bool": ints[:2] + (True,) + ints[3:],
+        "tuple of np.float32": tuple(np.float32(v) for v in row),
+    }
+    for what, x in inputs.items():
+        assert predict_boosted(small_emil_model, x) == expected, what
+    for bad in (row[:-1], row + (0.0,), np.array([row])):
+        with pytest.raises(ValueError):
+            predict_boosted(small_emil_model, bad)
+
+
+@pytest.fixture(scope="module")
+def emil_20_tree_model(emil):
+    rows = gen_dataset(emil, PatternMatchOracle(), sample=1000, seed=2)
+    data = dataset_from_measurements(emil, rows)
+    return fit_boosted(data, np.random.default_rng(1), n_estimators=20, max_depth=8)
+
+
+@pytest.mark.parametrize("which", ["10 trees, depth 6", "20 trees, depth 8"])
+def test_model_evaluator_gives_the_batch_bits_everywhere(emil, small_emil_model,
+                                                         emil_20_tree_model, which):
+    model = small_emil_model if which.startswith("10") else emil_20_tree_model
+    configs = list(emil.enumerate_all())
+    expected = predict_boosted_batch(model, np.array([emil.encode(c) for c in configs]))
+    evaluator = ModelEvaluator(model, emil)
+    assert [evaluator.evaluate(c) for c in configs] == expected.tolist()
 
 
 def test_model_evaluator_from_file(emil, small_emil_model, tmp_path):

@@ -257,6 +257,19 @@ def test_neighbor_always_valid(emil):
         assert emil.validate(config) == []
 
 
+@pytest.mark.parametrize("current", [150, [50], "50"], ids=["off-domain", "unhashable", "str"])
+def test_neighbor_of_a_value_off_its_domain_raises(ida, current):
+    with pytest.raises(ValueError, match="not in tuple"):
+        ida.neighbor({"CPU-W": current, "GPU-W": 50}, random.Random(0))
+
+
+def test_neighbor_of_an_equal_value_of_another_type_moves_alike(ida):
+    """50.0 and True are not ints, so they are found by equality in the domain."""
+    for current in (50.0, True):
+        expected = ida.neighbor({"CPU-W": int(current), "GPU-W": 0}, random.Random(4))
+        assert ida.neighbor({"CPU-W": current, "GPU-W": 0}, random.Random(4)) == expected
+
+
 def test_neighbor_requires_an_alternative():
     space = make_space(
         [
