@@ -16,7 +16,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .space import Configuration, NoNeighborError, ParameterSpace
 
@@ -64,8 +64,7 @@ class AnnealParams:
         return derived_cooling_factor(self.initial_temperature, self.evaluation_budget)
 
 
-@dataclass(frozen=True)
-class SearchStep:
+class SearchStep(NamedTuple):
     """One annealing step: the proposed candidate and the accept decision."""
 
     index: int
@@ -101,9 +100,15 @@ class SearchTrace:
         return first_best(self.evaluations)[1]
 
 
-def first_best(records: Sequence[tuple[Configuration, float]]) -> tuple[Any, Any]:
-    """The first (config, value) record holding the maximum value; (None, None) if none."""
-    return max(records, key=lambda record: record[1], default=(None, None))
+def first_best(
+    records: Sequence[tuple[Configuration, float]], values: Sequence[float] | None = None
+) -> tuple[Any, Any]:
+    """The first (config, value) record holding the maximum value; (None, None) if none.
+    Given the records' `values`, only the winning record is read."""
+    if values is None:
+        values = [value for _, value in records]
+    best = max(range(len(values)), key=values.__getitem__, default=None)
+    return (None, None) if best is None else records[best]
 
 
 def acceptance_probability(

@@ -231,9 +231,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     evaluator = ModelEvaluator.from_file(args.model, space)
     if args.all:
         configs = list(space.enumerate_all())
+        predictions = evaluator.evaluate_codes(space, space.codes())
     else:
         configs = [parse_config_option(space, text) for text in args.config]
-    predictions = evaluator.evaluate_many(configs)
+        predictions = [evaluator.evaluate(config) for config in configs]
     for config, value in zip(configs, predictions):
         print(f"{format_config(space, config)} -> {value:.6f} MB/J")
     if args.out:

@@ -10,19 +10,18 @@ models, so generated datasets replay to exactly the same efficiencies.
 
 Evaluators whose evaluation is pure (deterministic and free of side
 effects), the model and the emil-pm oracle, also offer
-evaluate_many(configs), which gives `[evaluate(c) for c in configs]` bit for
-bit in one call. Measuring through commands has side effects, so they have
-none.
+evaluate_codes(space, codes), which scores rows of `space.codes()` and gives
+`[evaluate(c) for c in space.configs(codes)]` bit for bit in one call.
+Measuring through commands has side effects, so they have none.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import re
 import shlex
 import subprocess
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .metrics import (
     parse_measurement_row,
     read_measurement_log,
 )
-from .space import Configuration, ParameterSpace
+from .space import Configuration, EncodingError, ParameterSpace
 from .surrogate import BoostedModel, load_model, predict_boosted, predict_boosted_batch
 
 ELEMENT_BYTES = 4
@@ -105,12 +104,19 @@ class ModelEvaluator(Evaluator):
     def evaluate(self, config: Configuration) -> float:
         return predict_boosted(self.model, self.space.encode(config))
 
-    def evaluate_many(self, configs: Sequence[Configuration]) -> list[float]:
-        """One batch prediction, bit for bit the one-row predictions."""
-        d = len(self.space.names)
-        matrix = np.fromiter(itertools.chain.from_iterable(map(self.space.encode, configs)),
-                             dtype=np.float64, count=len(configs) * d)
-        return predict_boosted_batch(self.model, matrix.reshape(-1, d)).tolist()
+    def evaluate_codes(self, space: ParameterSpace, codes: np.ndarray) -> list[float]:
+        """One batch prediction over rows of `space.codes()`, bit for bit
+        `evaluate`'s, each feature gathered from a code -> feature table. A
+        space the model cannot encode goes through `evaluate` one row at a time."""
+        matrix = np.empty((len(codes), len(self.space.parameters)), dtype=np.float64)
+        try:
+            for k, p in enumerate(self.space.parameters):
+                values, column = space.code_table(p.name)
+                features = np.array([p.code_of(v) for v in values], dtype=np.float64)
+                matrix[:, k] = features[codes[:, column]]
+        except (KeyError, EncodingError):
+            return [self.evaluate(c) for c in space.configs(codes)]
+        return predict_boosted_batch(self.model, matrix).tolist()
 
     def describe(self) -> str:
         origin = self.source or "in-memory"
@@ -166,33 +172,16 @@ def _jitter_key(config: Mapping[str, Any]) -> str:
     return "|".join([f"{k}={config[k]}" for k in sorted(config)])
 
 
-def _value_columns(configs: Sequence[Configuration]) -> dict[str, list[Any]] | None:
-    """Each name's values, in configuration order, where `_jitter_key` can be
-    built a column at a time: every configuration holds the same str names,
-    each with an exact int or str value. None otherwise."""
-    names = list(configs[0]) if configs else []
-    if not names or not all(type(name) is str for name in names):
-        return None
-    if set(map(len, configs)) != {len(names)}:
-        return None
-    try:  # with equal lengths, a name every configuration holds makes equal name sets
-        columns = {name: [c[name] for c in configs] for name in names}
-    except KeyError:
-        return None
-    if not all(set(map(type, column)) <= {int, str} for column in columns.values()):
-        return None  # a bool, float or NumPy value could equal another yet print apart
-    return columns
-
-
-def _joined_keys(columns: Mapping[str, list[Any]]) -> Iterator[str]:
-    """`_jitter_key` of each configuration of `_value_columns`, one at a time:
-    each distinct name=value pair is formatted once."""
+def _jitter_keys(space: ParameterSpace, codes: np.ndarray) -> Iterator[bytes]:
+    """`_jitter_key` of each row of `codes`, UTF-8 encoded: each name=value
+    pair is formatted once, and the keys are joined one row at a time."""
     pairs = []
-    for name in sorted(columns):
-        column = columns[name]
-        formatted = {value: f"{name}={value}" for value in set(column)}
-        pairs.append(map(formatted.__getitem__, column))
-    return map("|".join, zip(*pairs))
+    for name in sorted(space.names):
+        values, column = space.code_table(name)
+        formatted = [f"{name}={value}".encode("utf-8") for value in values]
+        positions = memoryview(np.ascontiguousarray(codes[:, column]))
+        pairs.append(map(formatted.__getitem__, positions))
+    return map(b"|".join, zip(*pairs))
 
 
 def _rugged_factors(seed: int, config: Mapping[str, Any], amplitude: float) -> tuple[float, float]:
@@ -423,24 +412,23 @@ class PatternMatchOracle(Evaluator):
             acc_workload_mb=acc_workload,
         )
 
-    def evaluate_many(self, configs: Sequence[Configuration]) -> list[float]:
-        """MB/J of every configuration, bit for bit `[evaluate(c) for c in configs]`.
+    def evaluate_codes(self, space: ParameterSpace, codes: np.ndarray) -> list[float]:
+        """MB/J of each row of `space.codes()`, bit for bit `evaluate`'s.
 
-        The jitter is hashed in Python, once per configuration for both
-        units, with the keys built a column at a time; the rest runs in NumPy
-        with the operations of `measure` and `metrics.energy_efficiency`, in
-        the same order. If the configurations do not all hold the same names
-        with exact int or str values, if any is off the modeled domain, or if
-        any gives a measurement that either would reject, every configuration
-        goes through `evaluate`, so the first failing one raises its own
-        error. A subclass that changes `measure` or `evaluate` must override
-        this too.
+        Factors and splits are gathered by code and the jitter is hashed once
+        per configuration for both units; the rest runs in NumPy with the
+        operations of `measure` and `metrics.energy_efficiency`, in the same
+        order. Where that cannot match `evaluate` (a missing parameter, a value
+        off the modeled domain, a measurement either would reject), every
+        configuration goes through `evaluate`, so the first failing one raises
+        its own error. A subclass that changes `measure` or `evaluate` must
+        override this too.
         """
-        values = self._vector_efficiencies(configs)
-        return [self.evaluate(c) for c in configs] if values is None else values
+        values = self._vector_efficiencies(space, codes)
+        return [self.evaluate(c) for c in space.configs(codes)] if values is None else values
 
-    def _vector_efficiencies(self, configs: Sequence[Configuration]) -> list[float] | None:
-        """The NumPy path of `evaluate_many`; None where it cannot match `evaluate`."""
+    def _vector_efficiencies(self, space: ParameterSpace, codes: np.ndarray) -> list[float] | None:
+        """The NumPy path of `evaluate_codes`; None where it cannot match `evaluate`."""
         tables = (self.cpu_thread_scale, self.cpu_affinity_scale,
                   self.acc_thread_scale, self.acc_affinity_scale)
         numbers = [self.input_mb, self.cpu_base_rate_mb_s, self.acc_base_rate_mb_s,
@@ -448,24 +436,21 @@ class PatternMatchOracle(Evaluator):
         numbers += [factor for table in tables for factor in table.values()]
         if not all(map(_exact_in_float64, numbers)):
             return None
-        columns = _value_columns(configs)
-        if columns is None:
-            return None
+        factors = []
         try:  # evaluate raises it again, for the first configuration that fails
-            splits, *levels = (
-                columns[name] for name in ("CPU-W", "CPU-T", "CPU-A", "ACC-T", "ACC-A")
-            )
-            cpu_t, cpu_a, acc_t, acc_a = (
-                np.array(list(map(table.__getitem__, level)), dtype=np.float64)
-                for table, level in zip(tables, levels)
-            )
-            cpu_jitter, acc_jitter = self._jitter_factors(columns)
-        except Exception:
+            for table, name in zip(tables, ("CPU-T", "CPU-A", "ACC-T", "ACC-A")):
+                values, column = space.code_table(name)
+                by_code = np.array([table[value] for value in values], dtype=np.float64)
+                factors.append(by_code[codes[:, column]])
+            splits, column = space.code_table("CPU-W")
+        except KeyError:
             return None
         # A split off [0, 100] makes a unit workload negative, which the checks reject.
         if any(type(s) is not int for s in splits):
             return None
-        split = np.array(splits, dtype=np.float64)
+        cpu_t, cpu_a, acc_t, acc_a = factors
+        split = np.array(splits, dtype=np.float64)[codes[:, column]]
+        cpu_jitter, acc_jitter = self._jitter_factors(space, codes)
         cpu_on, acc_on = split > 0, split < 100
         with np.errstate(all="ignore"):  # rows that overflow are rejected below
             cpu_workload = self.input_mb * split / 100.0
@@ -486,14 +471,14 @@ class PatternMatchOracle(Evaluator):
             )
         return values.tolist() if valid.all() else None
 
-    def _jitter_factors(self, columns: Mapping[str, list[Any]]) -> tuple[Any, Any]:
-        """`_rugged_factors` of every configuration of `_value_columns`."""
+    def _jitter_factors(self, space: ParameterSpace, codes: np.ndarray) -> tuple[Any, Any]:
+        """`_rugged_factors` of every row of `codes`."""
         if self.rugged_amplitude == 0:
             return 1.0, 1.0
         tails = [f"|{unit}|{self.seed}".encode("utf-8") for unit in ("cpu", "acc")]
         digests = bytearray()  # one buffer, not a 41-byte object per 8-byte digest
-        for key in _joined_keys(columns):
-            head = hashlib.blake2b(key.encode("utf-8"), digest_size=8)
+        for key in _jitter_keys(space, codes):
+            head = hashlib.blake2b(key, digest_size=8)
             for tail in tails:
                 unit_hash = head.copy()
                 unit_hash.update(tail)

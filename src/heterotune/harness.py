@@ -14,7 +14,9 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from . import metrics
 from .annealing import AnnealParams, SearchStep, SearchTrace, anneal, first_best
@@ -81,17 +83,6 @@ def _agree(
             )
 
 
-def _step_to_doc(step: SearchStep) -> dict[str, Any]:
-    return {
-        "index": step.index,
-        "temperature": step.temperature,
-        "candidate": dict(step.candidate),
-        "value": step.value,
-        "accepted": step.accepted,
-        "acceptance_probability": step.acceptance_probability,
-    }
-
-
 def _step_from_doc(doc: Mapping[str, Any]) -> SearchStep:
     return SearchStep(
         index=_exact(doc["index"], int, "step index"),
@@ -111,7 +102,7 @@ def _trace_to_doc(trace: SearchTrace) -> dict[str, Any]:
             {"config": dict(config), "value": value}
             for config, value in trace.seed_evaluations
         ],
-        "steps": [_step_to_doc(s) for s in trace.steps],
+        "steps": [{**s._asdict(), "candidate": dict(s.candidate)} for s in trace.steps],
         "winner_config": None if trace.winner_config is None else dict(trace.winner_config),
         "winner_value": trace.winner_value,
         "evaluations_used": trace.evaluations_used,
@@ -135,18 +126,44 @@ def _trace_from_doc(
     return trace
 
 
+class SweepRecords(Sequence):
+    """An EM sweep's (config, value) records, read-only. They hold the rows of
+    `space.codes()` and the values; a record's configuration dict is built
+    each time the record is read."""
+
+    def __init__(self, space: ParameterSpace, codes: np.ndarray, values: list[float]):
+        self.space, self.codes, self.values = space, codes, values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return SweepRecords(self.space, self.codes[index], self.values[index])
+        return self.space.config_at(self.codes[index].tolist()), self.values[index]
+
+    def __iter__(self) -> Iterator[tuple[Configuration, float]]:
+        return zip(self.space.configs(self.codes), self.values)
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class CampaignReport:
     """Outcome of one search campaign over a configuration space.
 
     The best configuration and value (the first record holding the maximum)
-    and the evaluation count derive from the records.
+    and the evaluation count derive from the records: a tuple, or an EM
+    sweep's `SweepRecords`.
     """
 
     method: str
     space_name: str
     evaluator: str
-    records: tuple[tuple[Configuration, float], ...]
+    records: Sequence[tuple[Configuration, float]]
     budget: int | None = None
     budget_fraction: float | None = None
     seed: int | None = None
@@ -160,7 +177,8 @@ class CampaignReport:
     def __post_init__(self) -> None:
         if self.method not in (METHOD_EM, METHOD_AML):
             raise ValueError(f"method must be {METHOD_EM} or {METHOD_AML}")
-        best_config, best_value = first_best(self.records)
+        values = self.records.values if isinstance(self.records, SweepRecords) else None
+        best_config, best_value = first_best(self.records, values)
         object.__setattr__(self, "best_config", best_config)
         object.__setattr__(self, "best_value", best_value)
         object.__setattr__(self, "evaluations_used", len(self.records))
@@ -235,45 +253,46 @@ def run_em(space: ParameterSpace, evaluator: Any) -> CampaignReport:
 
     An evaluator failure or a non-finite value raises CampaignError with the
     partial report (the configurations finished so far) attached. An
-    evaluator with `evaluate_many` scores the whole space in one call; only
-    pure evaluators have it, so on a failure or a non-finite value the sweep
-    is safely run again one configuration at a time, which raises that error.
+    evaluator with `evaluate_codes` scores the whole of `space.codes()` in one
+    call; only pure evaluators have it, so on a failure or a non-finite value
+    the sweep is safely run again one configuration at a time, which raises
+    that error. The report's records are `SweepRecords` over the codes.
     """
     started = time.perf_counter()
-    configs = list(space.enumerate_all())
-    records: list[tuple[Configuration, float]] = []
+    codes = space.codes()
+    values: list[float] = []
 
     def report() -> CampaignReport:
         return CampaignReport(
             method=METHOD_EM,
             space_name=space.name,
             evaluator=evaluator.describe() if hasattr(evaluator, "describe") else repr(evaluator),
-            records=tuple(records),
+            records=SweepRecords(space, codes[:len(values)], values),
             wall_time_s=time.perf_counter() - started,
         )
 
-    evaluate_many = getattr(evaluator, "evaluate_many", None)
-    if evaluate_many is not None:
+    evaluate_codes = getattr(evaluator, "evaluate_codes", None)
+    if evaluate_codes is not None:
         try:
-            values = evaluate_many(configs)
-            complete = all(map(math.isfinite, values))
+            batch = evaluate_codes(space, codes)
+            complete = len(batch) == len(codes) and all(map(math.isfinite, batch))
         except Exception:
             complete = False
         if complete:
-            records = list(zip(configs, values, strict=True))
+            values = batch
             return report()
-    for config in configs:
+    for config in space.configs(codes):
         try:
             value = evaluator.evaluate(config)
             if not math.isfinite(value):
                 raise ValueError(f"value {value!r} is not finite")
         except Exception as exc:
             raise CampaignError(
-                f"evaluator failed on {config!r} after {len(records)} "
+                f"evaluator failed on {config!r} after {len(values)} "
                 f"evaluations: {exc}",
                 report(),
             ) from exc
-        records.append((config, value))
+        values.append(value)
     return report()
 
 
@@ -328,14 +347,14 @@ def gen_dataset(
             f"{type(oracle).__name__} cannot produce raw measurements; "
             "dataset generation needs a measuring evaluator"
         )
-    configs = list(space.enumerate_all())
+    codes = space.codes()
     if sample is not None:
-        if not 1 <= sample <= len(configs):
+        if not 1 <= sample <= len(codes):
             raise ValueError(
-                f"sample size must be in [1, {len(configs)}], got {sample}"
+                f"sample size must be in [1, {len(codes)}], got {sample}"
             )
-        configs = random.Random(seed).sample(configs, sample)
-    rows = [oracle.measure(config) for config in configs]
+        codes = codes[random.Random(seed).sample(range(len(codes)), sample)]
+    rows = [oracle.measure(config) for config in space.configs(codes)]
     if path is not None:
         write_measurement_log(path, space, rows)
     return rows

@@ -13,8 +13,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
+import numpy as np
 import yaml
 
 KIND_RANGE = "range"
@@ -199,14 +200,14 @@ class ParameterSpace:
         # Lookup tables built once; they are not fields, so equality and the
         # hash stay on (name, parameters).
         free = tuple(p for p in self.parameters if not p.is_derived)
+        derived = tuple((p.name, p.derived_from) for p in self.parameters if p.is_derived)
+        column = {p.name: j for j, p in enumerate(free)}
         tables = {
             "_names": tuple(names),
             "_name_set": frozenset(names),
             "_by_name": by_name,
             "_free": free,
-            "_derived": tuple(
-                (p.name, p.derived_from) for p in self.parameters if p.is_derived
-            ),
+            "_derived": derived,
             # Per movable parameter: the exact value type of its domain and a
             # value -> position table, so `neighbor` skips `domain.index` on a hit.
             "_moves": tuple(
@@ -220,6 +221,14 @@ class ParameterSpace:
                  {v: p.code_of(v) for v in p.domain})
                 for p in self.parameters
             ),
+            # Per parameter, in `enumerate_all`'s key order: its value at each
+            # code of the free parameter it follows, and that one's column in `codes`.
+            "_code_tables": {
+                **{p.name: (p.domain, j) for j, p in enumerate(free)},
+                **{name: (tuple(COMPLEMENT_TOTAL - v for v in by_name[source].domain),
+                          column[source])
+                   for name, source in derived},
+            },
         }
         for attr, table in tables.items():
             object.__setattr__(self, attr, table)
@@ -252,6 +261,26 @@ class ParameterSpace:
             config = dict(zip(free_names, combo))
             self._fill_derived(config)
             yield config
+
+    def codes(self) -> np.ndarray:
+        """Every configuration as one row of free-parameter domain positions,
+        in `enumerate_all` order: an (N, free) matrix of the smallest unsigned dtype."""
+        sizes = [p.size for p in self._free]
+        dtype = np.min_scalar_type(max(sizes, default=1) - 1)
+        return np.indices(sizes, dtype=dtype).reshape(len(sizes), self.cardinality()).T
+
+    def code_table(self, name: str) -> tuple[tuple[Any, ...], int]:
+        """The values of parameter `name` by code, and the column of `codes`
+        that holds its code (its complement source's, for a derived parameter)."""
+        return self._code_tables[name]
+
+    def config_at(self, row: Sequence[int]) -> Configuration:
+        """The configuration of one row of `codes`, keyed as `enumerate_all` keys it."""
+        return {name: values[row[j]] for name, (values, j) in self._code_tables.items()}
+
+    def configs(self, codes: np.ndarray) -> Iterator[Configuration]:
+        """The configuration of each row of `codes`, one at a time."""
+        return map(self.config_at, map(np.ndarray.tolist, codes))
 
     def _fill_derived(self, config: Configuration) -> None:
         for name, source in self._derived:

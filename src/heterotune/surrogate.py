@@ -287,21 +287,6 @@ def fit_tree(
     return _build_tree(data.features, data.targets, codes, rows, max_depth, min_samples_leaf)
 
 
-def _walk(tree: RegressionTree, x: list[float]) -> float:
-    feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
-    node = 0
-    while feature[node] >= 0:
-        node = left[node] if x[feature[node]] < threshold[node] else right[node]
-    return tree.value[node]
-
-
-def predict_tree(tree: RegressionTree, x: Sequence[float]) -> float:
-    """Predict one feature vector."""
-    if len(x) != tree.n_features:
-        raise ValueError(f"expected {tree.n_features} features, got {len(x)}")
-    return _walk(tree, np.asarray(x, dtype=np.float64).tolist())
-
-
 TreeArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
 
 
@@ -766,22 +751,6 @@ def split_train_test(
 # ----- persistence -----------------------------------------------------------
 
 
-def _tree_to_dict(tree: RegressionTree) -> dict[str, Any]:
-    """The nested v1 form: {"value"} leaves, {"feature", "threshold", "left", "right"} splits."""
-    docs: list[dict[str, Any]] = [{}] * len(tree.feature)
-    for node in reversed(range(len(tree.feature))):  # children before parents
-        if tree.feature[node] < 0:
-            docs[node] = {"value": tree.value[node]}
-        else:
-            docs[node] = {
-                "feature": tree.feature[node],
-                "threshold": tree.threshold[node],
-                "left": docs[tree.left[node]],
-                "right": docs[tree.right[node]],
-            }
-    return docs[0]
-
-
 def _exact(raw: Any, kind: type, what: str) -> Any:
     """A model value as read, if JSON gave exactly `kind` (a bool is no int)."""
     if type(raw) is not kind:
@@ -848,16 +817,6 @@ def _header(model: BoostedModel) -> dict[str, Any]:
     }
 
 
-def model_to_dict(model: BoostedModel) -> dict[str, Any]:
-    return {
-        **_header(model),
-        "stages": [
-            {"weight": s.weight, "tree": _tree_to_dict(s.tree)}
-            for s in model.stages
-        ],
-    }
-
-
 def model_from_dict(doc: Any) -> BoostedModel:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"not a {MODEL_FORMAT} document")
@@ -916,8 +875,9 @@ def _tree_json(tree: RegressionTree, indent: str) -> str:
 
 
 def model_to_json(model: BoostedModel) -> str:
-    """`json.dumps(model_to_dict(model), indent=2) + "\\n"`, byte for byte,
-    written straight from the tree arrays."""
+    """The v1 document: `json.dumps(doc, indent=2) + "\\n"` of the header and
+    each stage's weight and nested tree ({"value"} leaves, {"feature",
+    "threshold", "left", "right"} splits), written straight from the tree arrays."""
     head = json.dumps({**_header(model), "stages": []}, indent=2)  # ends in '[]\n}'
     if not model.stages:
         return head + "\n"

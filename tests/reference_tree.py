@@ -1,10 +1,12 @@
-"""The recursive CART builder that level-wise growth replaced.
+"""The recursive CART builder that level-wise growth replaced, and the
+nested v1 model writer that `model_to_json` replaced.
 
-It is kept as it was, except that an SSE that overflowed to -inf loses as a
-NaN or +inf one does.
+The builder is kept as it was, except that an SSE that overflowed to -inf
+loses as a NaN or +inf one does.
 
 `tests/test_surrogate.py` compares the trees of `heterotune.surrogate` with
-the ones this builder grows: the five node arrays must be identical.
+the ones this builder grows: the five node arrays must be identical. It also
+checks `model_to_json` against `json.dumps(model_to_dict(model), indent=2)`.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from heterotune.surrogate import RegressionTree
+from heterotune.surrogate import BoostedModel, RegressionTree, _header
 
 
 def _weighted_mean(y: np.ndarray, w: np.ndarray) -> float:
@@ -112,3 +114,30 @@ def _build_tree(
 
     grow(X, y, w, 0)
     return RegressionTree(*map(tuple, zip(*nodes)), X.shape[1])
+
+
+def _tree_to_dict(tree: RegressionTree) -> dict[str, Any]:
+    """The nested v1 form: {"value"} leaves, {"feature", "threshold", "left", "right"} splits."""
+    docs: list[dict[str, Any]] = [{}] * len(tree.feature)
+    for node in reversed(range(len(tree.feature))):  # children before parents
+        if tree.feature[node] < 0:
+            docs[node] = {"value": tree.value[node]}
+        else:
+            docs[node] = {
+                "feature": tree.feature[node],
+                "threshold": tree.threshold[node],
+                "left": docs[tree.left[node]],
+                "right": docs[tree.right[node]],
+            }
+    return docs[0]
+
+
+def model_to_dict(model: BoostedModel) -> dict[str, Any]:
+    """The v1 model document, built as nested dicts."""
+    return {
+        **_header(model),
+        "stages": [
+            {"weight": s.weight, "tree": _tree_to_dict(s.tree)}
+            for s in model.stages
+        ],
+    }

@@ -37,7 +37,6 @@ from heterotune import (
     gen_dataset,
     kfold_cv,
     model_to_json,
-    predict_boosted_batch,
     run_em,
     space_from_dict,
 )
@@ -157,7 +156,7 @@ def test_criterion_2b_budget_claim_over_model(emil, emil_model):
     # oracle's value at the model's own argmax over the EM optimum. Search
     # regret: the winner's model value over the model maximum (median over seeds).
     configs = list(emil.enumerate_all())
-    predictions = evaluator.evaluate_many(configs)
+    predictions = evaluator.evaluate_codes(emil, emil.codes())
     model_max = max(predictions)
     model_argmax = configs[predictions.index(model_max)]
     model_regret = oracle.evaluate(model_argmax) / em.best_value
@@ -218,10 +217,10 @@ def command_latency(ida, tmp_path_factory):
 
 def test_criterion_3_speed_claim(emil, emil_model, command_latency):
     n = 2912
-    configs = random.Random(0).sample(list(emil.enumerate_all()), n)
-    matrix = np.array([emil.encode(c) for c in configs], dtype=np.float64)
+    codes = emil.codes()[random.Random(0).sample(range(emil.cardinality()), n)]
+    evaluator = ModelEvaluator(emil_model, emil)
     started = time.perf_counter()
-    predictions = predict_boosted_batch(emil_model, matrix)
+    predictions = evaluator.evaluate_codes(emil, codes)
     batch_seconds = time.perf_counter() - started
     assert len(predictions) == n
 

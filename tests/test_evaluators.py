@@ -31,7 +31,8 @@ from heterotune import (
     save_model,
     write_measurement_log,
 )
-from heterotune.evaluators import _jitter_key, _joined_keys, _rugged_factors, _value_columns
+from heterotune.evaluators import _jitter_key, _jitter_keys, _rugged_factors
+from heterotune.space import Parameter, ParameterSpace
 from heterotune.harness import dataset_from_measurements, gen_dataset
 
 REL = 1e-12
@@ -389,7 +390,10 @@ def test_make_oracle_families():
         make_oracle("nope")
 
 
-# ----- evaluate_many ------------------------------------------------------------------
+# ----- evaluate_codes -----------------------------------------------------------------
+#
+# These tests kept their names from `evaluate_many(configs)`, the call that
+# `evaluate_codes(space, codes)` replaced, so that their ids stay stable.
 
 
 def outcome(call):
@@ -401,7 +405,7 @@ def outcome(call):
 
 
 def unreachable(config):
-    raise AssertionError("evaluate_many fell back to evaluate")
+    raise AssertionError("evaluate_codes fell back to evaluate")
 
 
 @pytest.mark.parametrize(
@@ -412,17 +416,15 @@ def unreachable(config):
 )
 def test_pm_evaluate_many_is_evaluate_bit_for_bit(emil, overrides, monkeypatch):
     oracle = PatternMatchOracle(**overrides)
-    configs = list(emil.enumerate_all())
-    one_at_a_time = outcome(lambda: [oracle.evaluate(c) for c in configs])
+    one_at_a_time = outcome(lambda: [oracle.evaluate(c) for c in emil.enumerate_all()])
     monkeypatch.setattr(oracle, "evaluate", unreachable)  # the NumPy path, every row
-    assert outcome(lambda: oracle.evaluate_many(configs)) == one_at_a_time
+    assert outcome(lambda: oracle.evaluate_codes(emil, emil.codes())) == one_at_a_time
 
 
-def test_keys_by_columns_are_the_jitter_keys(emil):
-    configs = list(emil.enumerate_all())
-    columns = _value_columns(configs)
-    assert columns is not None and list(columns) == list(configs[0])
-    assert list(_joined_keys(columns)) == [_jitter_key(c) for c in configs]
+def test_keys_by_columns_are_the_jitter_keys(emil, ida):
+    for space in (emil, ida):
+        keys = [key.decode("utf-8") for key in _jitter_keys(space, space.codes())]
+        assert keys == [_jitter_key(c) for c in space.enumerate_all()]
 
 
 def unit_jitter(seed, config, unit, amplitude):
@@ -440,66 +442,68 @@ def test_rugged_factors_hash_each_unit_tail_after_one_key(emil, seed, amplitude)
             unit_jitter(seed, config, unit, amplitude) for unit in ("cpu", "acc"))
 
 
-def with_changes(configs, change, every=3):
-    """Copies of `configs` with `change(config)` applied to every `every`-th one."""
-    out = [dict(c) for c in configs]
-    for config in out[::every]:
-        change(config)
-    return out
-
-
-@pytest.mark.parametrize(
-    "case",
-    [
-        # name=value pairs that compare equal but print apart: True/1, 1.0/1, -0.0/0
-        lambda cs: with_changes([{**c, "X": 1} for c in cs], lambda c: c.update(X=True)),
-        lambda cs: with_changes(cs, lambda c: c.update({"CPU-T": float(c["CPU-T"])})),
-        lambda cs: with_changes([{**c, "X": 0} for c in cs], lambda c: c.update(X=-0.0)),
-        lambda cs: with_changes(cs, lambda c: c.update({"CPU-T": np.int64(c["CPU-T"])})),
-        lambda cs: with_changes(cs, lambda c: c.update(X=3), every=len(cs)),
-        lambda cs: with_changes(cs, lambda c: c.pop("ACC-A"), every=len(cs) - 1),
-        lambda cs: [{**c, "X" if i % 2 else "Y": 3} for i, c in enumerate(cs)],
-        lambda cs: [],
-        lambda cs: [{} for c in cs],
-    ],
-    ids=["true", "float", "negative-zero", "np-int64", "extra-key", "missing-key",
-         "mixed-key-sets", "empty", "no-names"],
-)
-def test_pm_evaluate_many_keys_each_configuration_where_columns_cannot(emil, case):
-    rng = random.Random(11)
-    configs = case([emil.random_config(rng) for _ in range(200)])
-    assert _value_columns(configs) is None
-    oracle = PatternMatchOracle()
-    expected = outcome(lambda: [oracle.evaluate(c) for c in configs])
-    assert outcome(lambda: oracle.evaluate_many(configs)) == expected
-
-
-def test_model_evaluate_many_is_evaluate_bit_for_bit(emil, emil_8_tree_model):
+def test_model_evaluate_many_is_evaluate_bit_for_bit(emil, emil_8_tree_model, monkeypatch):
     evaluator = ModelEvaluator(emil_8_tree_model, emil)
-    configs = list(emil.enumerate_all())
-    many = evaluator.evaluate_many(configs)
+    one_at_a_time = outcome(lambda: [evaluator.evaluate(c) for c in emil.enumerate_all()])
+    monkeypatch.setattr(evaluator, "evaluate", unreachable)
+    codes = emil.codes()
+    many = evaluator.evaluate_codes(emil, codes)
     assert all(type(v) is float for v in many)
-    assert outcome(lambda: many) == outcome(lambda: [evaluator.evaluate(c) for c in configs])
-    assert evaluator.evaluate_many([]) == []
+    assert outcome(lambda: many) == one_at_a_time
+    assert evaluator.evaluate_codes(emil, codes[:0]) == []
+
+
+def small_emil(emil, **replaced):
+    """emil with CPU-W in 0-4 and each parameter in `replaced` swapped (None drops it)."""
+    replaced = {
+        "CPU-W": Parameter("CPU-W", "range", tuple(range(5))),
+        "ACC-W": Parameter("ACC-W", "range", tuple(range(96, 101)), derived_from="CPU-W"),
+        **replaced,
+    }
+    parameters = (replaced.get(p.name, p) for p in emil.parameters)
+    return ParameterSpace("small-emil", tuple(p for p in parameters if p is not None))
 
 
 @pytest.mark.parametrize(
     "change",
-    [{"CPU-W": 101}, {"CPU-W": True}, {"CPU-T": 13}, {"ACC-A": None}],
+    [{"CPU-W": Parameter("CPU-W", "range", (98, 99, 100, 101)),
+      "ACC-W": Parameter("ACC-W", "range", (-1, 0, 1, 2), derived_from="CPU-W")},
+     {"CPU-W": Parameter("CPU-W", "categorical", ("True",)),
+      "ACC-W": Parameter("ACC-W", "levels", (100,))},
+     {"CPU-T": Parameter("CPU-T", "levels", (12, 13))},
+     {"ACC-A": None}],
     ids=["split-101", "split-true", "cpu-threads-13", "missing-key"],
 )
 @pytest.mark.parametrize("kind", ["oracle", "model"])
 def test_evaluate_many_fails_as_evaluate(emil, emil_8_tree_model, kind, change):
     evaluator = (PatternMatchOracle() if kind == "oracle"
                  else ModelEvaluator(emil_8_tree_model, emil))
-    bad = {k: v for k, v in {**emil_config(emil), **change}.items() if v is not None}
-    rng = random.Random(5)
-    configs = [emil.random_config(rng) for _ in range(20)]
-    configs.insert(9, bad)
-    expected = outcome(lambda: [evaluator.evaluate(c) for c in configs])
-    assert outcome(lambda: evaluator.evaluate_many(configs)) == expected
+    space = small_emil(emil, **change)
+    expected = outcome(lambda: [evaluator.evaluate(c) for c in space.enumerate_all()])
+    assert outcome(lambda: evaluator.evaluate_codes(space, space.codes())) == expected
     if kind == "oracle":  # the model encodes the off-domain numbers
         assert expected[0] is ValueError
+
+
+@pytest.mark.parametrize(
+    "case",
+    [lambda emil: ParameterSpace("extra-key", small_emil(emil).parameters
+                                 + (Parameter("X", "levels", (1, 3)),)),
+     lambda emil: small_emil(emil, **{"ACC-A": None}),
+     lambda emil: emil,
+     lambda emil: ParameterSpace("no-names", ())],
+    ids=["extra-key", "missing-key", "empty", "no-names"],
+)
+def test_pm_evaluate_many_keys_each_configuration_where_columns_cannot(emil, case, monkeypatch):
+    """Shapes that the dict path could not key a column at a time: an extra
+    parameter (in every jitter key), a missing one, no rows, no parameters."""
+    space = case(emil)
+    codes = space.codes()[:0] if space is emil else space.codes()
+    oracle = PatternMatchOracle()
+    expected = outcome(lambda: [oracle.evaluate(c) for c in space.configs(codes)])
+    if not isinstance(expected, tuple):  # values, which the NumPy path must give
+        monkeypatch.setattr(oracle, "evaluate", unreachable)
+    assert outcome(lambda: oracle.evaluate_codes(space, codes)) == expected
 
 
 @pytest.mark.parametrize(
@@ -512,9 +516,8 @@ def test_evaluate_many_fails_as_evaluate(emil, emil_8_tree_model, kind, change):
 )
 def test_pm_evaluate_many_rejects_as_evaluate(emil, overrides, error):
     oracle = PatternMatchOracle(**overrides)
-    configs = list(emil.enumerate_all())
-    expected = outcome(lambda: [oracle.evaluate(c) for c in configs])
-    assert outcome(lambda: oracle.evaluate_many(configs)) == expected
+    expected = outcome(lambda: [oracle.evaluate(c) for c in emil.enumerate_all()])
+    assert outcome(lambda: oracle.evaluate_codes(emil, emil.codes())) == expected
     assert expected[0] is error
 
 

@@ -1,11 +1,13 @@
 """Campaign runner: EM/AML reports, dataset generation, training, comparison."""
 
+import gc
 import hashlib
 import json
 import math
 import random
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from heterotune import (
     Evaluator,
     Hyperparameters,
     ModelEvaluator,
+    Parameter,
+    ParameterSpace,
     PatternMatchOracle,
     PccOracle,
     ReplayEvaluator,
@@ -153,11 +157,11 @@ class PureSweep(Sweep):
         self.batch_error = batch_error
         self.batches = 0
 
-    def evaluate_many(self, configs):
+    def evaluate_codes(self, space, codes):
         self.batches += 1
         if self.batch_error is not None:
             raise self.batch_error
-        return [self.evaluate(c) for c in configs]
+        return [self.evaluate(c) for c in space.configs(codes)]
 
 
 @pytest.mark.parametrize(
@@ -178,6 +182,82 @@ def test_em_batch_failure_is_the_one_at_a_time_failure(ida, bad, batch_error):
     partial = batched.value.partial_report
     assert partial.evaluations_used == 7
     assert partial.to_dict(False) == one_at_a_time.value.partial_report.to_dict(False)
+
+
+class OneAtATime:
+    """An evaluator's one-row `evaluate` and `describe`, without its batch call."""
+
+    def __init__(self, evaluator):
+        self.evaluate, self.describe = evaluator.evaluate, evaluator.describe
+
+
+@pytest.mark.parametrize("kind", ["oracle", "model"])
+def test_em_off_the_evaluator_tables_fails_as_one_at_a_time(emil, emil_8_tree_model, kind):
+    """CPU-T 13 is off the oracle's tables; the model cannot encode a space without ACC-A."""
+    if kind == "oracle":
+        evaluator, first_failure = PatternMatchOracle(), 3636  # after every CPU-T 12 configuration
+        cpu_t = Parameter("CPU-T", "levels", (12, 13))
+        parameters = tuple(cpu_t if p.name == "CPU-T" else p for p in emil.parameters)
+    else:
+        evaluator, first_failure = ModelEvaluator(emil_8_tree_model, emil), 0
+        parameters = tuple(p for p in emil.parameters if p.name != "ACC-A")
+    space = ParameterSpace("changed-emil", parameters)
+    with pytest.raises(CampaignError) as one_at_a_time:
+        run_em(space, OneAtATime(evaluator))
+    with pytest.raises(CampaignError) as batched:
+        run_em(space, evaluator)
+    assert str(batched.value) == str(one_at_a_time.value)
+    assert type(batched.value.__cause__) is type(one_at_a_time.value.__cause__)
+    partial = batched.value.partial_report
+    assert partial.evaluations_used == first_failure
+    assert partial.to_dict(False) == one_at_a_time.value.partial_report.to_dict(False)
+
+
+def test_em_records_build_each_configuration_when_read(emil):
+    report = run_em(emil, PatternMatchOracle())
+    records, values = report.records, report.records.values
+    expected = tuple(zip(emil.enumerate_all(), values))
+    assert len(records) == len(expected) == 14544
+    assert records[0] == expected[0] and records[-1] == expected[-1]
+    assert list(records[0][0]) == list(expected[0][0])  # key order, as enumerate_all
+    assert records[100:103] == expected[100:103] and len(records[100:103]) == 3
+    assert list(records) == list(expected)
+    assert records == expected and expected == records and records == list(expected)
+    assert records != expected[:-1] and records != expected[:-1] + ((expected[0][0], 0.0),)
+    first = records[0][0]
+    first["CPU-T"] = 99  # a read record is a fresh dict
+    assert records[0][0]["CPU-T"] == 12
+    with pytest.raises(TypeError):
+        records[0] = expected[1]
+    assert report.best_value == max(values)
+    assert report.best_config == expected[values.index(max(values))][0]
+    back = CampaignReport.from_dict(report.to_dict())
+    assert type(back.records) is tuple and back.records == records
+    assert back == report and back.to_dict() == report.to_dict()
+
+
+@pytest.mark.parametrize("kind, bound_mib", [("oracle", 4), ("model", 3)])
+def test_em_sweep_memory_and_collections(emil, emil_8_tree_model, kind, bound_mib):
+    """Bounds fixed from measured tracemalloc peaks of 2.78 MiB (oracle) and
+    1.80 MiB (model), with no collection in a sweep; over the 14544
+    configuration dicts, the peaks were 7.30 and 5.61 MiB, with 38 and 41
+    collections."""
+    evaluator = (PatternMatchOracle() if kind == "oracle"
+                 else ModelEvaluator(emil_8_tree_model, emil))
+    run_em(emil, evaluator)
+    collections = []
+    gc.collect()
+    gc.callbacks.append(lambda phase, info: collections.append(info["generation"]))
+    tracemalloc.start()
+    try:
+        report = run_em(emil, evaluator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.callbacks.pop()
+    assert report.evaluations_used == 14544
+    assert peak < bound_mib * 2**20
+    assert collections == []
 
 
 COUNTING_STUB = textwrap.dedent(
@@ -205,9 +285,10 @@ def test_em_runs_a_failing_command_once_per_configuration(ida, tmp_path):
 
 
 def test_measuring_commands_and_replay_have_no_batch():
-    assert hasattr(PatternMatchOracle, "evaluate_many")
-    assert hasattr(ModelEvaluator, "evaluate_many")
-    for one_at_a_time in (Evaluator, CommandEvaluator, ReplayEvaluator):
+    assert hasattr(PatternMatchOracle, "evaluate_codes")
+    assert hasattr(ModelEvaluator, "evaluate_codes")
+    for one_at_a_time in (Evaluator, CommandEvaluator, ReplayEvaluator, PccOracle):
+        assert not hasattr(one_at_a_time, "evaluate_codes")
         assert not hasattr(one_at_a_time, "evaluate_many")
 
 

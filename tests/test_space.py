@@ -77,30 +77,29 @@ def enumerate_by_make_config(space):
         yield space.make_config(dict(zip(free, combo)))
 
 
-@pytest.mark.parametrize(
-    "space",
-    [
-        bundled_space("emil"),
-        bundled_space("ida"),
-        make_space(
-            [
-                {"name": "B-W", "derived_from": "A-W"},
-                {"name": "A-W", "kind": "range", "min": 0, "max": 100},
-                {"name": "T", "kind": "levels", "values": [1, 2, 4]},
-                {"name": "M", "kind": "categorical", "labels": ["x", "y"]},
-            ],
-            name="source-not-last",
-        ),
-        make_space(
-            [
-                {"name": "T", "kind": "levels", "values": [1, 2, 4]},
-                {"name": "M", "kind": "categorical", "labels": ["x", "y"]},
-            ],
-            name="no-derived",
-        ),
-    ],
-    ids=lambda space: space.name,
-)
+SPACES = [
+    bundled_space("emil"),
+    bundled_space("ida"),
+    make_space(
+        [
+            {"name": "B-W", "derived_from": "A-W"},
+            {"name": "A-W", "kind": "range", "min": 0, "max": 100},
+            {"name": "T", "kind": "levels", "values": [1, 2, 4]},
+            {"name": "M", "kind": "categorical", "labels": ["x", "y"]},
+        ],
+        name="source-not-last",
+    ),
+    make_space(
+        [
+            {"name": "T", "kind": "levels", "values": [1, 2, 4]},
+            {"name": "M", "kind": "categorical", "labels": ["x", "y"]},
+        ],
+        name="no-derived",
+    ),
+]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda space: space.name)
 def test_enumerate_matches_make_config_in_order_and_key_order(space):
     def items(configs):
         return [[(k, type(v), v) for k, v in c.items()] for c in configs]
@@ -109,6 +108,37 @@ def test_enumerate_matches_make_config_in_order_and_key_order(space):
     assert items(first) == items(second) == items(enumerate_by_make_config(space))
     # fresh dicts: none is shared within a call or between calls
     assert len({id(c) for c in first + second}) == 2 * len(first)
+
+
+@pytest.mark.parametrize(
+    "space",
+    SPACES + [
+        make_space(
+            [
+                {"name": "B-W", "derived_from": "A-W"},
+                {"name": "A-W", "kind": "range", "min": 0, "max": 300},
+                {"name": "T", "kind": "levels", "values": [8]},
+                {"name": "M", "kind": "categorical", "labels": ["x", "y"]},
+            ],
+            name="one-value-parameter",
+        ),
+    ],
+    ids=lambda space: space.name,
+)
+def test_codes_give_enumerate_all(space):
+    def items(configs):
+        return [[(k, type(v), v) for k, v in c.items()] for c in configs]
+
+    codes = space.codes()
+    free = space.free_parameters
+    assert codes.shape == (space.cardinality(), len(free))
+    assert codes.dtype == ("u2" if max(p.size for p in free) > 256 else "u1")
+    expected = items(space.enumerate_all())
+    assert items(space.configs(codes)) == expected
+    assert [items([space.config_at(row)])[0] for row in codes.tolist()] == expected
+    for name in space.names:
+        values, column = space.code_table(name)
+        assert [c[name] for c in space.enumerate_all()] == [values[i] for i in codes[:, column]]
 
 
 def test_enumerate_fills_derived_complement(ida):

@@ -30,11 +30,9 @@ from heterotune import (
     kfold_indices,
     load_model,
     model_from_dict,
-    model_to_dict,
     model_to_json,
     predict_boosted,
     predict_boosted_batch,
-    predict_tree,
     predict_tree_batch,
     r2_score,
     save_model,
@@ -70,6 +68,12 @@ def test_dataset_rejects_non_finite_target():
 
 
 # ----- fit_tree / predict_tree ---------------------------------------------------
+
+
+def predict_tree(tree, x):
+    """One feature vector through `predict_tree_batch`."""
+    [value] = predict_tree_batch(tree, np.array([x], dtype=np.float64)).tolist()
+    return value
 
 
 def test_constant_targets_single_leaf():
@@ -752,6 +756,8 @@ def test_kfold_falls_back_to_the_calling_process(cpus, monkeypatch, why):
                            hyper=Hyperparameters(max_depth=4))
     finally:
         release.set()
+        if waiter.ident is not None:  # started
+            waiter.join()  # the next test must start with this process's one thread
     assert metrics.r2 == expected
     assert forked == []
 
@@ -890,7 +896,8 @@ def test_model_dict_round_trip():
     rng = np.random.default_rng(18)
     data = random_dataset(rng, n=60, d=2)
     model = fit_boosted(data, np.random.default_rng(0), n_estimators=4, max_depth=3)
-    assert model_to_json(model_from_dict(model_to_dict(model))) == model_to_json(model)
+    doc = reference_tree.model_to_dict(model)
+    assert model_to_json(model_from_dict(doc)) == model_to_json(model)
 
 
 def test_model_format_error_on_garbage(tmp_path):
@@ -909,7 +916,7 @@ def small_model_doc():
     rng = np.random.default_rng(21)
     data = random_dataset(rng, n=60, d=2)
     model = fit_boosted(data, np.random.default_rng(0), n_estimators=3, max_depth=3)
-    return model_to_dict(model)
+    return reference_tree.model_to_dict(model)
 
 
 def first_node(doc, leaf):
@@ -981,7 +988,7 @@ def test_model_from_dict_reads_ints_as_numbers():
     first_node(doc, True)["value"] = 2
     model = model_from_dict(doc)
     assert model.hyperparameters.learning_rate == 1
-    assert type(first_node(model_to_dict(model), True)["value"]) is float
+    assert type(first_node(reference_tree.model_to_dict(model), True)["value"]) is float
 
 
 def test_model_from_dict_rejects_non_finite_stage_weight():
@@ -1027,7 +1034,7 @@ def chain_tree(depth):
 
 
 def json_dumps_v1(model):
-    return json.dumps(model_to_dict(model), indent=2) + "\n"
+    return json.dumps(reference_tree.model_to_dict(model), indent=2) + "\n"
 
 
 def test_model_json_is_json_dumps_of_the_dict(small_emil_model):
