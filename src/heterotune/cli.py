@@ -16,8 +16,6 @@ import os
 import sys
 from typing import Any, Sequence
 
-import yaml
-
 from .annealing import AnnealParams, SearchAborted, write_trace_csv
 from .evaluators import (
     AmbiguousLogError,
@@ -431,8 +429,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         SpaceDefinitionError,
         AmbiguousLogError,
         InvalidMeasurementError,
-        json.JSONDecodeError,
-        yaml.YAMLError,
     ) as exc:
         print(f"heterotune: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -19,6 +19,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import metrics
+from ._documents import exact, failures_as, finite, read
 from .annealing import AnnealParams, SearchStep, SearchTrace, anneal, first_best
 from .metrics import (
     MeasurementLogError, RawMeasurement, read_measurement_log, write_measurement_log,
@@ -51,22 +52,6 @@ class CampaignError(RuntimeError):
         self.partial_report = partial_report
 
 
-def _number(value: Any, what: str) -> float:
-    """A report value as read, if it is a finite JSON number (bools are not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ReportFormatError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ReportFormatError(f"{what} {value!r} is not finite")
-    return value
-
-
-def _exact(value: Any, kind: type, what: str) -> Any:
-    """A report value as read, if JSON gave it exactly `kind` (a bool is no int)."""
-    if type(value) is not kind:
-        raise ReportFormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
 def _optional(value: Any, check: Any, *args: Any) -> Any:
     """A report value that may be null, else passed through `check`."""
     return None if value is None else check(value, *args)
@@ -78,19 +63,19 @@ def _agree(
     """Summaries stored beside the records must equal what they give, type and all."""
     for key in keys:
         if type(stored[key]) is not type(derived[key]) or stored[key] != derived[key]:
-            raise ReportFormatError(
+            raise ValueError(
                 f"{what}{key} = {stored[key]!r} but the records give {derived[key]!r}"
             )
 
 
 def _step_from_doc(doc: Mapping[str, Any]) -> SearchStep:
     return SearchStep(
-        index=_exact(doc["index"], int, "step index"),
-        temperature=_number(doc["temperature"], "step temperature"),
+        index=exact(doc["index"], int, "step index"),
+        temperature=finite(doc["temperature"], "step temperature"),
         candidate=dict(doc["candidate"]),
-        value=_number(doc["value"], "step value"),
-        accepted=_exact(doc["accepted"], bool, "step accepted"),
-        acceptance_probability=_number(
+        value=finite(doc["value"], "step value"),
+        accepted=exact(doc["accepted"], bool, "step accepted"),
+        acceptance_probability=finite(
             doc["acceptance_probability"], "step acceptance_probability"
         ),
     )
@@ -116,7 +101,7 @@ def _trace_from_doc(
     trace = SearchTrace(
         steps=tuple(_step_from_doc(s) for s in doc["steps"]),
         seed_evaluations=tuple(
-            (dict(entry["config"]), _number(entry["value"], "seed value"))
+            (dict(entry["config"]), finite(entry["value"], "seed value"))
             for entry in doc["seed_evaluations"]
         ),
         evaluations=evaluations,
@@ -206,10 +191,11 @@ class CampaignReport:
         return doc
 
     @classmethod
+    @failures_as(ReportFormatError, "campaign report")
     def from_dict(cls, doc: Mapping[str, Any]) -> "CampaignReport":
         """Rebuild a report; its stored summaries must agree with its records."""
         records = tuple(
-            (dict(entry["config"]), _number(entry["value"], "record value"))
+            (dict(entry["config"]), finite(entry["value"], "record value"))
             for entry in doc["records"]
         )
         report = cls(
@@ -217,10 +203,10 @@ class CampaignReport:
             space_name=doc["space"],
             evaluator=doc["evaluator"],
             records=records,
-            budget=_optional(doc.get("budget"), _exact, int, "budget"),
-            budget_fraction=_optional(doc.get("budget_fraction"), _number, "budget_fraction"),
-            seed=_optional(doc.get("seed"), _exact, int, "seed"),
-            anneal_params=_optional(doc.get("anneal_params"), _exact, dict, "anneal_params"),
+            budget=_optional(doc.get("budget"), exact, int, "budget"),
+            budget_fraction=_optional(doc.get("budget_fraction"), finite, "budget_fraction"),
+            seed=_optional(doc.get("seed"), exact, int, "seed"),
+            anneal_params=_optional(doc.get("anneal_params"), exact, dict, "anneal_params"),
             trace=(
                 None if doc.get("trace") is None
                 else _trace_from_doc(doc["trace"], records)
@@ -228,7 +214,7 @@ class CampaignReport:
             wall_time_s=doc.get("wall_time_s"),
         )
         if doc["best_value_mb_per_j"] is not None:
-            _number(doc["best_value_mb_per_j"], "best_value_mb_per_j")
+            finite(doc["best_value_mb_per_j"], "best_value_mb_per_j")
         keys = ("best_config", "best_value_mb_per_j", "evaluations_used")
         _agree(doc, report.to_dict(), keys, "")
         return report
@@ -241,11 +227,7 @@ class CampaignReport:
     @classmethod
     def load(cls, path: str) -> "CampaignReport":
         """Read a report; a malformed document raises ReportFormatError."""
-        with open(path, "r", encoding="utf-8") as handle:
-            try:  # RecursionError: nesting too deep for the JSON decoder
-                return cls.from_dict(json.load(handle))
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise ReportFormatError(f"{path}: malformed campaign report: {exc!r}") from exc
+        return read(path, json.load, cls.from_dict, ReportFormatError, "campaign report")
 
 
 def run_em(space: ParameterSpace, evaluator: Any) -> CampaignReport:

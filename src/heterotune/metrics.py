@@ -22,6 +22,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._documents import read
 from .space import Configuration, ParameterSpace
 
 #: Measurement-log value columns, in order, following the space's parameter
@@ -335,29 +336,24 @@ def append_measurement(path: str, space: ParameterSpace, m: RawMeasurement) -> N
 
 
 def read_measurement_log(path: str, space: ParameterSpace) -> list[RawMeasurement]:
-    """Read a whole log; raises MeasurementLogError with a line number."""
+    """Read a whole log; raises MeasurementLogError, with a line number where
+    one row is at fault."""
+    return read(path, csv.reader, lambda reader: _parse_log(reader, space),
+                MeasurementLogError, "measurement log")
+
+
+def _parse_log(reader: Any, space: ParameterSpace) -> list[RawMeasurement]:
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise MeasurementLogError(f"cannot read measurement log: {exc}") from exc
-    try:  # a decoding error surfaces a text chunk at a time, so no line number
-        with handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise MeasurementLogError("empty measurement log", 1) from None
-            if header != log_header(space):
-                raise MeasurementLogError(
-                    f"line 1: header {header!r} does not match space {space.name!r}", 1
-                )
-            measurements = []
-            for fields in reader:
-                if not fields:
-                    continue
-                measurements.append(
-                    parse_measurement_row(fields, space, reader.line_num)
-                )
-    except UnicodeDecodeError as exc:
-        raise MeasurementLogError(f"measurement log is not UTF-8 text: {exc}") from exc
+        header = next(reader)
+    except StopIteration:
+        raise MeasurementLogError("empty measurement log", 1) from None
+    if header != log_header(space):
+        raise MeasurementLogError(
+            f"line 1: header {header!r} does not match space {space.name!r}", 1
+        )
+    measurements = []
+    for fields in reader:
+        if not fields:
+            continue
+        measurements.append(parse_measurement_row(fields, space, reader.line_num))
     return measurements

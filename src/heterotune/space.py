@@ -18,6 +18,8 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 import yaml
 
+from ._documents import read
+
 KIND_RANGE = "range"
 KIND_LEVELS = "levels"
 KIND_CATEGORICAL = "categorical"
@@ -501,16 +503,8 @@ def space_from_dict(doc: Mapping[str, Any]) -> ParameterSpace:
 
 
 def load_space(path: str) -> ParameterSpace:
-    """Load a space definition from a YAML file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = yaml.safe_load(handle)
-    except OSError as exc:
-        raise SpaceDefinitionError(f"cannot read space definition: {exc}") from exc
-    # RecursionError: nesting too deep; UnicodeDecodeError: not UTF-8 text
-    except (yaml.YAMLError, RecursionError, UnicodeDecodeError) as exc:
-        raise SpaceDefinitionError(f"malformed space definition {path}: {exc}") from exc
-    return space_from_dict(doc)
+    """Load a space definition from a YAML file; a malformed one raises SpaceDefinitionError."""
+    return read(path, yaml.safe_load, space_from_dict, SpaceDefinitionError, "space definition")
 
 
 def _data_dir():

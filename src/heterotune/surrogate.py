@@ -20,6 +20,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from ._documents import exact, failures_as, finite, read
+
 
 class UndefinedScoreError(ValueError):
     """R-squared is undefined for the given targets."""
@@ -279,10 +281,7 @@ def fit_tree(
     data: Dataset, max_depth: int | None = 8, min_samples_leaf: int = 2
 ) -> RegressionTree:
     """Fit a CART regression tree by greedy variance reduction."""
-    if max_depth is not None and max_depth < 0:
-        raise ValueError("max_depth must be None or non-negative")
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be at least 1")
+    Hyperparameters(max_depth=max_depth, min_samples_leaf=min_samples_leaf)  # checks both
     codes, rows = _column_codes(data.features), np.arange(len(data))
     return _build_tree(data.features, data.targets, codes, rows, max_depth, min_samples_leaf)
 
@@ -751,35 +750,13 @@ def split_train_test(
 # ----- persistence -----------------------------------------------------------
 
 
-def _exact(raw: Any, kind: type, what: str) -> Any:
-    """A model value as read, if JSON gave exactly `kind` (a bool is no int)."""
-    if type(raw) is not kind:
-        raise ModelFormatError(f"{what} must be a JSON {kind.__name__}, got {raw!r}")
-    return raw
-
-
-def _finite(raw: Any, what: str) -> float:
-    """A model number as a float, if JSON gave a finite number (a bool is none)."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ModelFormatError(f"{what} must be a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError:  # an int past the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ModelFormatError(f"{what} {value!r} is not finite")
-    return value
-
-
 def _hyperparameters(raw: Any) -> Hyperparameters:
     """Hyperparameters as read; a missing one takes its default."""
-    if not isinstance(raw, dict):
-        raise ModelFormatError("hyperparameters must be a mapping")
     for name in ("n_estimators", "max_depth", "min_samples_leaf"):
         if name in raw and not (name == "max_depth" and raw[name] is None):
-            _exact(raw[name], int, f"hyperparameter {name}")
+            exact(raw[name], int, f"hyperparameter {name}")
     if "learning_rate" in raw:
-        _finite(raw["learning_rate"], "hyperparameter learning_rate")
+        finite(raw["learning_rate"], "hyperparameter learning_rate")
     return Hyperparameters(**raw)
 
 
@@ -792,15 +769,14 @@ def _tree_from_dict(doc: Any, n_features: int) -> RegressionTree:
         node = len(nodes)
         if parent >= 0:
             nodes[parent][3] = node
-        if not isinstance(node_doc, dict):
-            raise ModelFormatError("tree node must be a mapping")
-        if "value" in node_doc:
-            nodes.append([-1, -math.inf, node, node, _finite(node_doc["value"], "leaf value")])
+        if "value" in node_doc:  # a node that is no mapping fails with a TypeError
+            value = float(finite(node_doc["value"], "leaf value"))
+            nodes.append([-1, -math.inf, node, node, value])
             continue
-        feature = _exact(node_doc["feature"], int, "split feature")
+        feature = exact(node_doc["feature"], int, "split feature")
         if not 0 <= feature < n_features:
             raise ModelFormatError(f"split feature {feature} is outside [0, {n_features})")
-        threshold = _finite(node_doc["threshold"], "split threshold")
+        threshold = float(finite(node_doc["threshold"], "split threshold"))
         nodes.append([feature, threshold, node + 1, -1, math.nan])
         pending += [(node_doc["right"], node), (node_doc["left"], -1)]
     return RegressionTree(*map(tuple, zip(*nodes)), n_features)
@@ -817,25 +793,23 @@ def _header(model: BoostedModel) -> dict[str, Any]:
     }
 
 
+@failures_as(ModelFormatError, "model document")
 def model_from_dict(doc: Any) -> BoostedModel:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
-    try:
-        names = _exact(doc["feature_names"], list, "feature_names")
-        feature_names = tuple(_exact(name, str, "feature name") for name in names)
-        hyper = _hyperparameters(doc["hyperparameters"])
-        stages = tuple(
-            BoostStage(
-                _tree_from_dict(entry["tree"], len(feature_names)),
-                _finite(entry["weight"], "stage weight"),
-            )
-            for entry in doc["stages"]
+    names = exact(doc["feature_names"], list, "feature_names")
+    feature_names = tuple(exact(name, str, "feature name") for name in names)
+    hyper = _hyperparameters(doc["hyperparameters"])
+    stages = tuple(
+        BoostStage(
+            _tree_from_dict(entry["tree"], len(feature_names)),
+            float(finite(entry["weight"], "stage weight")),
         )
-        loss = _exact(doc.get("loss", LINEAR_LOSS), str, "loss")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model document: {exc}") from exc
+        for entry in doc["stages"]
+    )
+    loss = exact(doc.get("loss", LINEAR_LOSS), str, "loss")
     if not stages:
         raise ModelFormatError("model has no stages")
     return BoostedModel(feature_names, stages, hyper, loss)
@@ -895,14 +869,7 @@ def save_model(model: BoostedModel, path: str) -> None:
 
 
 def load_model(path: str) -> BoostedModel:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        return model_from_dict(doc)
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model: {exc}") from exc
-    # RecursionError: nesting too deep to parse or to check (a tree deeper than
-    # json's recursion allows saves, but cannot be read back until format v2);
-    # UnicodeDecodeError: not UTF-8 text
-    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"malformed model document: {exc}") from exc
+    """Read a saved model; a file that cannot be read as one raises ModelFormatError.
+    A tree nested deeper than json's recursion allows saves, but reads back as
+    ModelFormatError until format v2."""
+    return read(path, json.load, model_from_dict, ModelFormatError, "model document")

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from heterotune import (
-    CampaignReport, bundled_data_path, bundled_space, read_measurement_log, surrogate,
+    AnnealParams, CampaignReport, MeasurementLogError, PccOracle, ReportFormatError,
+    SpaceDefinitionError, bundled_data_path, bundled_space, load_space, read_measurement_log,
+    run_aml, surrogate, write_measurement_log,
 )
 from heterotune.cli import main
 
@@ -636,6 +638,78 @@ def test_exit_3_on_file_that_is_not_utf8(capsys, tmp_path, argv):
     code, _, err = run(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
     assert code == 3
     assert "data error" in err and "can't decode" in err
+
+
+HUGE = 10**400  # an int past the float range and past a C ssize_t
+ONE_PARAMETER_SPACE = "name: huge\nparameters:\n  - name: A\n"
+
+
+def huge_report_member(*keys):
+    """Writes an AML report whose member at `keys` is HUGE."""
+    def write(path):
+        doc = run_aml(bundled_space("ida"), PccOracle(),
+                      AnnealParams(evaluation_budget=20, seed=1)).to_dict()
+        *outer, last = keys
+        parent = doc
+        for key in outer:
+            parent = parent[key]
+        parent[last] = HUGE
+        path.write_text(json.dumps(doc))
+    return write
+
+
+def space_text(parameter):
+    return lambda path: path.write_text(ONE_PARAMETER_SPACE + parameter)
+
+
+def log_with_long_field(path):
+    """Writes an ida log whose one row is a quoted field past csv's size limit."""
+    write_measurement_log(path, bundled_space("ida"), [])
+    with path.open("a") as sink:
+        sink.write('"' + "x" * 200_000 + '"\n')
+
+
+READERS = {
+    "report": (CampaignReport.load, ReportFormatError),
+    "space": (load_space, SpaceDefinitionError),
+    "log": (lambda path: read_measurement_log(path, bundled_space("ida")), MeasurementLogError),
+}
+COMPARE = ["compare", "--em", "{file}", "--aml", "{file}"]
+
+
+@pytest.mark.parametrize(
+    "reader, write, argv",
+    [
+        ("report", huge_report_member("records", 0, "value"), COMPARE),
+        ("report", huge_report_member("budget_fraction"), COMPARE),
+        ("report", huge_report_member("trace", "steps", 0, "temperature"), COMPARE),
+        ("report", None, COMPARE),
+        ("space", space_text(f"    kind: levels\n    values: [1, {HUGE}]\n"),
+         ["space-info", "--space", "{file}"]),
+        ("space", space_text(f"    kind: range\n    min: 0\n    max: {HUGE}\n"),
+         ["space-info", "--space", "{file}"]),
+        ("space", space_text("    kind: levels\n    values: [[1], [2]]\n"),
+         ["space-info", "--space", "{file}"]),
+        ("space", space_text("    kind: categorical\n    labels: [{a: 1}]\n"),
+         ["space-info", "--space", "{file}"]),
+        ("log", log_with_long_field, ["train", "--space", "ida", "--log", "{file}"]),
+        ("log", log_with_long_field, ["em", "--space", "ida", "--eval", "replay:{file}"]),
+    ],
+    ids=["report-huge-record-value", "report-huge-budget-fraction",
+         "report-huge-step-temperature", "report-missing", "space-huge-level",
+         "space-huge-range-max", "space-list-levels", "space-mapping-label",
+         "log-long-field-train", "log-long-field-replay"],
+)
+def test_malformed_file_is_a_data_error(capsys, tmp_path, reader, write, argv):
+    path = tmp_path / "file"
+    if write is not None:  # else the file is missing
+        write(path)
+    read, error = READERS[reader]
+    with pytest.raises(error):
+        read(path)
+    code, _, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
+    assert code == 3
+    assert "heterotune: data error:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
