@@ -228,8 +228,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     space = resolve_space(args.space)
     evaluator = ModelEvaluator.from_file(args.model, space)
     if args.all:
-        configs = list(space.enumerate_all())
-        predictions = evaluator.evaluate_codes(space, space.codes())
+        codes = space.codes()
+        configs = list(space.configs(codes))
+        predictions = evaluator.evaluate_codes(space, codes)
     else:
         configs = [parse_config_option(space, text) for text in args.config]
         predictions = [evaluator.evaluate(config) for config in configs]
@@ -393,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict efficiencies with a trained model")
     _add_space_flag(p)
     p.add_argument("--model", required=True, help="model path (JSON)")
-    p.add_argument(
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument(
         "--config",
         action="append",
-        default=[],
         help='configuration as "NAME=VALUE,NAME=VALUE"; repeatable',
     )
-    p.add_argument(
+    group.add_argument(
         "--all", action="store_true", help="predict every configuration in the space"
     )
     p.add_argument("--out", default=None, help="write predictions (CSV)")
@@ -418,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_predict and not args.all and not args.config:
-        parser.error("predict needs --config or --all")
     try:
         return args.func(args)
     except (

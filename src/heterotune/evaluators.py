@@ -16,6 +16,7 @@ Measuring through commands has side effects, so they have none.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 import re
@@ -234,8 +235,6 @@ class PccOracle(Evaluator):
         transfer_bandwidth_b_s: float = 1e9,
         cpu_power_w: float = 105.0,
         acc_power_w: float = 250.0,
-        rugged_amplitude: float = 0.0,
-        seed: int = 0,
     ):
         if rows < 2 or cols < 1:
             raise ValueError("need at least 2 rows and 1 column")
@@ -243,8 +242,6 @@ class PccOracle(Evaluator):
             raise ValueError("costs and bandwidth must be positive")
         if cpu_power_w <= 0 or acc_power_w <= 0:
             raise ValueError("power draws must be positive")
-        if not 0 <= rugged_amplitude < 1:
-            raise ValueError("rugged_amplitude must be in [0, 1)")
         self.rows = rows
         self.cols = cols
         self.cpu_op_cost_s = cpu_op_cost_s
@@ -254,8 +251,6 @@ class PccOracle(Evaluator):
         self.transfer_bandwidth_b_s = transfer_bandwidth_b_s
         self.cpu_power_w = cpu_power_w
         self.acc_power_w = acc_power_w
-        self.rugged_amplitude = rugged_amplitude
-        self.seed = seed
 
     def comparison_split(self, cpu_share_percent: int) -> tuple[int, int]:
         """Pair comparisons done by (cpu, acc) for a CPU row share."""
@@ -275,12 +270,6 @@ class PccOracle(Evaluator):
         acc_time = acc_comparisons * self.cols * self.acc_op_cost_s
         if acc_comparisons > 0:
             acc_time += self.rows * self.cols * ELEMENT_BYTES / self.transfer_bandwidth_b_s
-        if self.rugged_amplitude > 0 and (cpu_time > 0 or acc_time > 0):
-            cpu_jitter, acc_jitter = _rugged_factors(self.seed, config, self.rugged_amplitude)
-            if cpu_time > 0:
-                cpu_time *= cpu_jitter
-            if acc_time > 0:
-                acc_time *= acc_jitter
 
         if cpu_comparisons == 0:
             cpu_workload = 0.0
@@ -517,9 +506,10 @@ class CommandEvaluator(Evaluator):
     """Runs an external measurement command per configuration.
 
     Parameter values are substituted for "{PARAM-NAME}" placeholders. The
-    command must print a measurement row (measurement-log columns, comma
-    separated) on stdout; the last parsable row for the requested
-    configuration wins. Rows can be appended to a log for later training.
+    command must print a measurement row (measurement-log columns, one csv
+    line as the log writes it) on stdout; the last parsable row for the
+    requested configuration wins. Rows can be appended to a log for later
+    training.
     """
 
     def __init__(
@@ -555,12 +545,9 @@ class CommandEvaluator(Evaluator):
         wanted = self.space.config_key(config)
         found = None
         for line in stdout.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                m = parse_measurement_row(line.split(","), self.space)
-            except MeasurementLogError:
+            try:  # one row per line, read as the measurement log reads it
+                m = parse_measurement_row(next(csv.reader([line.strip()])), self.space)
+            except (csv.Error, MeasurementLogError):
                 continue
             if self.space.config_key(m.config) == wanted:
                 found = m  # last matching line wins

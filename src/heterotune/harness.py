@@ -45,9 +45,10 @@ class ReportFormatError(ValueError):
 
 
 class CampaignError(RuntimeError):
-    """A campaign failed midway; the partial report is attached."""
+    """A campaign failed midway; the partial report is attached. It is None
+    when dataset generation fails, which builds no report."""
 
-    def __init__(self, message: str, partial_report: "CampaignReport"):
+    def __init__(self, message: str, partial_report: "CampaignReport | None"):
         super().__init__(message)
         self.partial_report = partial_report
 
@@ -322,7 +323,8 @@ def gen_dataset(
     """Measure every configuration, or a seeded distinct random sample.
 
     The oracle must expose measure(config) -> RawMeasurement. With `path`
-    the rows are also written as a measurement log.
+    the rows are also written as a measurement log. A failing measurement
+    raises CampaignError naming the configuration, and no log is written.
     """
     if not hasattr(oracle, "measure"):
         raise TypeError(
@@ -336,7 +338,14 @@ def gen_dataset(
                 f"sample size must be in [1, {len(codes)}], got {sample}"
             )
         codes = codes[random.Random(seed).sample(range(len(codes)), sample)]
-    rows = [oracle.measure(config) for config in space.configs(codes)]
+    rows: list[RawMeasurement] = []
+    for config in space.configs(codes):
+        try:
+            rows.append(oracle.measure(config))
+        except Exception as exc:
+            raise CampaignError(
+                f"oracle failed on {config!r} after {len(rows)} measurements: {exc}", None
+            ) from exc
     if path is not None:
         write_measurement_log(path, space, rows)
     return rows

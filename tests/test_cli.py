@@ -282,6 +282,16 @@ def test_predict_requires_config_or_all(capsys, tmp_path):
     assert "--config" in capsys.readouterr().err
 
 
+def test_predict_rejects_config_with_all(capsys, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "predict", "--space", "ida", "--model", str(tmp_path / "m.json"),
+            "--all", "--config", "NOPE=zz",
+        ])
+    assert excinfo.value.code == 1
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_predict_bad_config_value(capsys, tmp_path):
     log = tmp_path / "ida.csv"
     model = tmp_path / "model.json"
@@ -399,6 +409,28 @@ def test_exit_2_on_incomplete_replay(capsys, tmp_path):
     code, _, err = run(capsys, "em", "--space", "ida", "--eval", f"replay:{log}")
     assert code == 2
     assert "execution error" in err
+
+
+def test_exit_2_when_the_oracle_rejects_a_gen_configuration(capsys, tmp_path):
+    # emil's parameters, with a CPU thread count the emil-pm oracle does not model
+    space = tmp_path / "emil13.yaml"
+    space.write_text(
+        "name: emil13\nparameters:\n"
+        "  - {name: CPU-T, kind: levels, values: [12, 13]}\n"
+        "  - {name: ACC-T, kind: levels, values: [60]}\n"
+        "  - {name: CPU-A, kind: categorical, labels: [none]}\n"
+        "  - {name: ACC-A, kind: categorical, labels: [balanced]}\n"
+        "  - {name: CPU-W, kind: range, min: 0, max: 2}\n"
+        "  - {name: ACC-W, derived_from: CPU-W}\n"
+    )
+    log = tmp_path / "log.csv"
+    code, _, err = run(
+        capsys, "gen", "--space", str(space), "--oracle", "emil-pm", "--out", str(log)
+    )
+    assert code == 2
+    assert "execution error" in err and "'CPU-T': 13" in err
+    assert "after 3 measurements" in err and "outside the modeled domain" in err
+    assert not log.exists()
 
 
 def test_exit_3_on_malformed_log(capsys, tmp_path):

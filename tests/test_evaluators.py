@@ -29,6 +29,7 @@ from heterotune import (
     predict_boosted,
     predict_boosted_batch,
     save_model,
+    space_from_dict,
     write_measurement_log,
 )
 from heterotune.evaluators import _jitter_key, _jitter_keys, _rugged_factors
@@ -621,6 +622,26 @@ def test_command_last_matching_row_wins(ida, tmp_path):
     value = evaluator.evaluate(ida.make_config({"CPU-W": 5}))
     # second row: time 2.0 -> throughput 50, power 52.5+125 -> value from row 2
     assert value == pytest.approx(50.0 / (105.0 / 2 + 250.0 / 2), rel=REL)
+
+
+def test_command_row_with_a_quoted_comma_label(tmp_path):
+    space = space_from_dict({"name": "labels", "parameters": [
+        {"name": "MODE", "kind": "categorical", "labels": ["a,b", "c"]},
+        {"name": "CPU-W", "kind": "range", "min": 0, "max": 100},
+    ]})
+    script = tmp_path / "rig.py"
+    # Each row is printed as the measurement log writes it: csv.writer quotes
+    # "a,b". A line csv cannot split (a field past its size limit) is skipped.
+    script.write_text(
+        "import csv, sys\n"
+        "print('\"' + 'x' * 200000 + '\"')\n"
+        "csv.writer(sys.stdout).writerow([sys.argv[1], sys.argv[2],"
+        " 100.0, 2.0, 1.0, 210.0, 250.0, 40.0, 60.0])\n"
+    )
+    evaluator = CommandEvaluator(f'"{sys.executable}" "{script}" {{MODE}} {{CPU-W}}', space)
+    config = {"MODE": "a,b", "CPU-W": 40}
+    m = evaluator.measure(config)
+    assert m.config == config and m.cpu_time_s == 2.0
 
 
 def test_nonexistent_binary(ida):

@@ -409,6 +409,17 @@ def test_log_wrong_column_count_reports_line(ida, tmp_path):
     assert excinfo.value.line_number == 2
 
 
+def test_log_line_csv_cannot_split_reports_line(ida, tmp_path):
+    path = tmp_path / "long.csv"
+    rng = random.Random(6)
+    write_measurement_log(path, ida, [random_measurement(ida, rng) for _ in range(3)])
+    with path.open("a") as sink:
+        sink.write('"' + "x" * 200_000 + '",40,1,1,1,1,1,60,40\n')
+    with pytest.raises(MeasurementLogError, match="line 5: field larger") as excinfo:
+        read_measurement_log(path, ida)
+    assert excinfo.value.line_number == 5
+
+
 def test_log_missing_file(ida, tmp_path):
     with pytest.raises(MeasurementLogError):
         read_measurement_log(tmp_path / "absent.csv", ida)

@@ -15,6 +15,7 @@ from heterotune import (
     bundled_space_names,
     space_from_dict,
 )
+from heterotune.space import MAX_RANGE_VALUES
 
 
 def make_space(params, name="test"):
@@ -312,7 +313,7 @@ def test_neighbor_requires_an_alternative():
         space.neighbor(config, random.Random(0))
 
 
-# ----- encode / decode ----------------------------------------------------------
+# ----- encoding ----------------------------------------------------------------
 
 
 def test_encode_categorical_codes(emil):
@@ -324,13 +325,6 @@ def test_encode_categorical_codes(emil):
     assert vector[names.index("CPU-A")] == 1.0  # none=0, scatter=1, compact=2
     assert vector[names.index("ACC-A")] == 0.0  # balanced=0
     assert vector[names.index("CPU-W")] == 60.0
-
-
-def test_encode_decode_identity(emil):
-    rng = random.Random(9)
-    for _ in range(200):
-        config = emil.random_config(rng)
-        assert emil.decode(emil.encode(config)) == config
 
 
 def test_encode_arity(emil):
@@ -435,6 +429,15 @@ def test_definition_rejects_empty_domain():
 def test_definition_rejects_bad_range():
     with pytest.raises(SpaceDefinitionError):
         make_space([{"name": "A", "kind": "range", "min": 5, "max": 1}])
+
+
+def test_definition_caps_range_length():
+    assert make_space([{"name": "A", "kind": "range", "min": 1, "max": MAX_RANGE_VALUES}]
+                      ).cardinality() == MAX_RANGE_VALUES
+    # one value more is rejected from min and max alone, as is a span of 10**10
+    for hi in (MAX_RANGE_VALUES + 1, 10**10):
+        with pytest.raises(SpaceDefinitionError, match=f"range of {hi} values"):
+            make_space([{"name": "A", "kind": "range", "min": 1, "max": hi}])
 
 
 @pytest.mark.parametrize(
