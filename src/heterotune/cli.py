@@ -227,20 +227,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     space = resolve_space(args.space)
     evaluator = ModelEvaluator.from_file(args.model, space)
-    if args.all:
-        codes = space.codes()
-        configs = list(space.configs(codes))
-        predictions = evaluator.evaluate_codes(space, codes)
+    if args.all:  # an EM sweep over the model
+        rows = list(run_em(space, evaluator).records)
     else:
         configs = [parse_config_option(space, text) for text in args.config]
-        predictions = [evaluator.evaluate(config) for config in configs]
-    for config, value in zip(configs, predictions):
+        rows = [(config, evaluator.evaluate(config)) for config in configs]
+    for config, value in rows:
         print(f"{format_config(space, config)} -> {value:.6f} MB/J")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(list(space.names) + ["predicted_mb_per_j"])
-            for config, value in zip(configs, predictions):
+            for config, value in rows:
                 writer.writerow(
                     [config[name] for name in space.names] + [repr(value)]
                 )

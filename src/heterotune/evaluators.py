@@ -10,9 +10,10 @@ models, so generated datasets replay to exactly the same efficiencies.
 
 Evaluators whose evaluation is pure (deterministic and free of side
 effects), the model and the emil-pm oracle, also offer
-evaluate_codes(space, codes), which scores rows of `space.codes()` and gives
-`[evaluate(c) for c in space.configs(codes)]` bit for bit in one call.
-Measuring through commands has side effects, so they have none.
+evaluate_codes(space, codes), which scores rows of `space.codes()` in one
+call: `[evaluate(c) for c in space.configs(codes)]` bit for bit, or None
+where it cannot give that, a subclass's `evaluate` included. Measuring
+through commands has side effects, so they have none.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .metrics import (
     RawMeasurement,
     append_measurement,
     log_has_header,
+    log_header,
     parse_measurement_row,
     read_measurement_log,
 )
@@ -105,10 +107,12 @@ class ModelEvaluator(Evaluator):
     def evaluate(self, config: Configuration) -> float:
         return predict_boosted(self.model, self.space.encode(config))
 
-    def evaluate_codes(self, space: ParameterSpace, codes: np.ndarray) -> list[float]:
+    def evaluate_codes(self, space: ParameterSpace, codes: np.ndarray) -> list[float] | None:
         """One batch prediction over rows of `space.codes()`, bit for bit
-        `evaluate`'s, each feature gathered from a code -> feature table. A
-        space the model cannot encode goes through `evaluate` one row at a time."""
+        `evaluate`'s, each feature gathered from a code -> feature table; None
+        for a space the model cannot encode, or from a subclass."""
+        if type(self) is not ModelEvaluator:
+            return None
         matrix = np.empty((len(codes), len(self.space.parameters)), dtype=np.float64)
         try:
             for k, p in enumerate(self.space.parameters):
@@ -116,7 +120,7 @@ class ModelEvaluator(Evaluator):
                 features = np.array([p.code_of(v) for v in values], dtype=np.float64)
                 matrix[:, k] = features[codes[:, column]]
         except (KeyError, EncodingError):
-            return [self.evaluate(c) for c in space.configs(codes)]
+            return None
         return predict_boosted_batch(self.model, matrix).tolist()
 
     def describe(self) -> str:
@@ -401,23 +405,18 @@ class PatternMatchOracle(Evaluator):
             acc_workload_mb=acc_workload,
         )
 
-    def evaluate_codes(self, space: ParameterSpace, codes: np.ndarray) -> list[float]:
+    def evaluate_codes(self, space: ParameterSpace, codes: np.ndarray) -> list[float] | None:
         """MB/J of each row of `space.codes()`, bit for bit `evaluate`'s.
 
         Factors and splits are gathered by code and the jitter is hashed once
         per configuration for both units; the rest runs in NumPy with the
         operations of `measure` and `metrics.energy_efficiency`, in the same
-        order. Where that cannot match `evaluate` (a missing parameter, a value
-        off the modeled domain, a measurement either would reject), every
-        configuration goes through `evaluate`, so the first failing one raises
-        its own error. A subclass that changes `measure` or `evaluate` must
-        override this too.
+        order. None where that cannot match `evaluate`: a missing parameter, a
+        value off the modeled domain, a measurement either would reject, or a
+        subclass.
         """
-        values = self._vector_efficiencies(space, codes)
-        return [self.evaluate(c) for c in space.configs(codes)] if values is None else values
-
-    def _vector_efficiencies(self, space: ParameterSpace, codes: np.ndarray) -> list[float] | None:
-        """The NumPy path of `evaluate_codes`; None where it cannot match `evaluate`."""
+        if type(self) is not PatternMatchOracle:
+            return None
         tables = (self.cpu_thread_scale, self.cpu_affinity_scale,
                   self.acc_thread_scale, self.acc_affinity_scale)
         numbers = [self.input_mb, self.cpu_base_rate_mb_s, self.acc_base_rate_mb_s,
@@ -426,7 +425,7 @@ class PatternMatchOracle(Evaluator):
         if not all(map(_exact_in_float64, numbers)):
             return None
         factors = []
-        try:  # evaluate raises it again, for the first configuration that fails
+        try:
             for table, name in zip(tables, ("CPU-T", "CPU-A", "ACC-T", "ACC-A")):
                 values, column = space.code_table(name)
                 by_code = np.array([table[value] for value in values], dtype=np.float64)
@@ -541,17 +540,27 @@ class CommandEvaluator(Evaluator):
 
         return _PLACEHOLDER.sub(fill, self.template)
 
-    def _parse_output(self, stdout: str, config: Configuration) -> RawMeasurement | None:
+    def _parse_output(
+        self, stdout: str, config: Configuration
+    ) -> tuple[RawMeasurement | None, str | None]:
+        """The last row for `config`, and why the last rejected row was
+        rejected; only a line with the log's field count counts as a row."""
         wanted = self.space.config_key(config)
-        found = None
-        for line in stdout.splitlines():
+        width = len(log_header(self.space))
+        found = rejected = None
+        for number, line in enumerate(stdout.splitlines(), 1):
             try:  # one row per line, read as the measurement log reads it
-                m = parse_measurement_row(next(csv.reader([line.strip()])), self.space)
-            except (csv.Error, MeasurementLogError):
+                fields = next(csv.reader([line.strip()]))
+                m = parse_measurement_row(fields, self.space, number)
+            except csv.Error:
+                continue
+            except MeasurementLogError as exc:
+                if len(fields) == width:  # a banner line is not a rejected row
+                    rejected = str(exc)
                 continue
             if self.space.config_key(m.config) == wanted:
                 found = m  # last matching line wins
-        return found
+        return found, rejected
 
     def measure(self, config: Configuration) -> RawMeasurement:
         command = self.substitute(config)
@@ -583,10 +592,12 @@ class CommandEvaluator(Evaluator):
                 stdout=proc.stdout,
                 stderr=proc.stderr,
             )
-        m = self._parse_output(proc.stdout, config)
+        m, rejected = self._parse_output(proc.stdout, config)
         if m is None:
+            reason = "" if rejected is None else f"; last rejected row: stdout {rejected}"
             raise CommandExecutionError(
-                f"no measurement row for the requested configuration on stdout: {command}",
+                f"no measurement row for the requested configuration on stdout: {command}"
+                + reason,
                 command,
                 returncode=proc.returncode,
                 stdout=proc.stdout,

@@ -237,9 +237,9 @@ def run_em(space: ParameterSpace, evaluator: Any) -> CampaignReport:
     An evaluator failure or a non-finite value raises CampaignError with the
     partial report (the configurations finished so far) attached. An
     evaluator with `evaluate_codes` scores the whole of `space.codes()` in one
-    call; only pure evaluators have it, so on a failure or a non-finite value
-    the sweep is safely run again one configuration at a time, which raises
-    that error. The report's records are `SweepRecords` over the codes.
+    call; where it declines (None), fails or gives a non-finite value, the
+    sweep runs one configuration at a time, which raises that error. The
+    report's records are `SweepRecords` over the codes.
     """
     started = time.perf_counter()
     codes = space.codes()
@@ -254,16 +254,14 @@ def run_em(space: ParameterSpace, evaluator: Any) -> CampaignReport:
             wall_time_s=time.perf_counter() - started,
         )
 
-    evaluate_codes = getattr(evaluator, "evaluate_codes", None)
-    if evaluate_codes is not None:
-        try:
-            batch = evaluate_codes(space, codes)
-            complete = len(batch) == len(codes) and all(map(math.isfinite, batch))
-        except Exception:
-            complete = False
-        if complete:
-            values = batch
-            return report()
+    try:  # no batch call, a decline (None) or a failure: one at a time below
+        batch = evaluator.evaluate_codes(space, codes)
+        complete = len(batch) == len(codes) and all(map(math.isfinite, batch))
+    except Exception:
+        complete = False
+    if complete:
+        values = batch
+        return report()
     for config in space.configs(codes):
         try:
             value = evaluator.evaluate(config)
@@ -331,13 +329,13 @@ def gen_dataset(
             f"{type(oracle).__name__} cannot produce raw measurements; "
             "dataset generation needs a measuring evaluator"
         )
-    codes = space.codes()
-    if sample is not None:
-        if not 1 <= sample <= len(codes):
-            raise ValueError(
-                f"sample size must be in [1, {len(codes)}], got {sample}"
-            )
-        codes = codes[random.Random(seed).sample(range(len(codes)), sample)]
+    if sample is None:
+        codes = space.codes()
+    else:  # only the sampled rows are built, not the whole code matrix
+        total = space.cardinality()
+        if not 1 <= sample <= total:
+            raise ValueError(f"sample size must be in [1, {total}], got {sample}")
+        codes = space.codes(random.Random(seed).sample(range(total), sample))
     rows: list[RawMeasurement] = []
     for config in space.configs(codes):
         try:

@@ -8,7 +8,6 @@ in which case it contributes no free dimension to the search.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -251,18 +250,18 @@ class ParameterSpace:
 
     def enumerate_all(self) -> Iterator[Configuration]:
         """Yield every configuration in lexicographic domain order."""
-        free_names = tuple(p.name for p in self._free)
-        for combo in itertools.product(*(p.domain for p in self._free)):
-            config = dict(zip(free_names, combo))
-            self._fill_derived(config)
-            yield config
+        yield from self.configs(self.codes())
 
-    def codes(self) -> np.ndarray:
+    def codes(self, rows: Sequence[int] | None = None) -> np.ndarray:
         """Every configuration as one row of free-parameter domain positions,
-        in `enumerate_all` order: an (N, free) matrix of the smallest unsigned dtype."""
+        in `enumerate_all` order: an (N, free) matrix of the smallest unsigned
+        dtype. With `rows`, only those rows of it, in the order given."""
         sizes = [p.size for p in self._free]
         dtype = np.min_scalar_type(max(sizes, default=1) - 1)
-        return np.indices(sizes, dtype=dtype).reshape(len(sizes), self.cardinality()).T
+        if rows is None:
+            return np.indices(sizes, dtype=dtype).reshape(len(sizes), self.cardinality()).T
+        # A trailing axis of size one keeps unravel_index defined without parameters.
+        return np.array(np.unravel_index(rows, [*sizes, 1]), dtype=dtype)[:-1].T
 
     def code_table(self, name: str) -> tuple[tuple[Any, ...], int]:
         """The values of parameter `name` by code, and the column of `codes`
@@ -274,8 +273,12 @@ class ParameterSpace:
         return {name: values[row[j]] for name, (values, j) in self._code_tables.items()}
 
     def configs(self, codes: np.ndarray) -> Iterator[Configuration]:
-        """The configuration of each row of `codes`, one at a time."""
-        return map(self.config_at, map(np.ndarray.tolist, codes))
+        """A fresh configuration per row of `codes`, keyed as `enumerate_all` keys
+        it: each parameter's values are gathered for all rows, then zipped."""
+        columns = [np.array(values, dtype=object)[codes[:, j]].tolist()
+                   for values, j in self._code_tables.values()]
+        rows = zip(*columns) if columns else [()] * len(codes)  # a row without parameters is {}
+        return map(dict, map(zip, [tuple(self._code_tables)] * len(codes), rows))
 
     def _fill_derived(self, config: Configuration) -> None:
         for name, source in self._derived:

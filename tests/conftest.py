@@ -1,5 +1,6 @@
 """Shared fixtures: the two bundled configuration spaces, a small pinned
-model, and control over the CPUs that training may use."""
+model, and control over the CPUs that training may use; and the check that
+an EM sweep ends as it ends one configuration at a time."""
 
 import os
 import signal
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from heterotune import (
-    PatternMatchOracle, bundled_space, dataset_from_measurements, fit_boosted, gen_dataset,
+    CampaignError, PatternMatchOracle, bundled_space, dataset_from_measurements, fit_boosted,
+    gen_dataset, run_em,
 )
 
 
@@ -76,3 +78,32 @@ def assert_no_children():
     """Every child this process forked has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class OneAtATime:
+    """An evaluator's one-row `evaluate` and `describe`, without its batch call."""
+
+    def __init__(self, evaluator):
+        self.evaluate, self.describe = evaluator.evaluate, evaluator.describe
+
+
+def em_as_one_at_a_time(space, evaluator):
+    """`run_em` over `evaluator` ends as it ends one configuration at a time.
+
+    Where that fails, `evaluate_codes` declines (None), and `run_em` raises
+    the same CampaignError: message, cause type and partial report. Returns
+    that error, or else the report.
+    """
+    try:
+        expected = run_em(space, OneAtATime(evaluator))
+    except CampaignError as one_at_a_time:
+        assert evaluator.evaluate_codes(space, space.codes()) is None
+        with pytest.raises(CampaignError) as batched:
+            run_em(space, evaluator)
+        assert str(batched.value) == str(one_at_a_time)
+        assert type(batched.value.__cause__) is type(one_at_a_time.__cause__)
+        partial = batched.value.partial_report
+        assert partial.to_dict(False) == one_at_a_time.partial_report.to_dict(False)
+        return one_at_a_time
+    assert run_em(space, evaluator).to_dict(False) == expected.to_dict(False)
+    return expected

@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from conftest import em_as_one_at_a_time
 from heterotune import (
     AmbiguousLogError,
     CommandEvaluator,
@@ -394,7 +395,9 @@ def test_make_oracle_families():
 # ----- evaluate_codes -----------------------------------------------------------------
 #
 # These tests kept their names from `evaluate_many(configs)`, the call that
-# `evaluate_codes(space, codes)` replaced, so that their ids stay stable.
+# `evaluate_codes(space, codes)` replaced, so that their ids stay stable. A
+# batch gives `evaluate`'s bits or declines (None); where a configuration
+# fails, it declines and `run_em` fails as it does one at a time.
 
 
 def outcome(call):
@@ -479,11 +482,9 @@ def small_emil(emil, **replaced):
 def test_evaluate_many_fails_as_evaluate(emil, emil_8_tree_model, kind, change):
     evaluator = (PatternMatchOracle() if kind == "oracle"
                  else ModelEvaluator(emil_8_tree_model, emil))
-    space = small_emil(emil, **change)
-    expected = outcome(lambda: [evaluator.evaluate(c) for c in space.enumerate_all()])
-    assert outcome(lambda: evaluator.evaluate_codes(space, space.codes())) == expected
+    failure = em_as_one_at_a_time(small_emil(emil, **change), evaluator)
     if kind == "oracle":  # the model encodes the off-domain numbers
-        assert expected[0] is ValueError
+        assert type(failure.__cause__) is ValueError
 
 
 @pytest.mark.parametrize(
@@ -502,9 +503,11 @@ def test_pm_evaluate_many_keys_each_configuration_where_columns_cannot(emil, cas
     codes = space.codes()[:0] if space is emil else space.codes()
     oracle = PatternMatchOracle()
     expected = outcome(lambda: [oracle.evaluate(c) for c in space.configs(codes)])
-    if not isinstance(expected, tuple):  # values, which the NumPy path must give
+    if isinstance(expected, tuple):  # a configuration fails
+        em_as_one_at_a_time(space, oracle)
+    else:  # values, which the NumPy path must give
         monkeypatch.setattr(oracle, "evaluate", unreachable)
-    assert outcome(lambda: oracle.evaluate_codes(space, codes)) == expected
+        assert outcome(lambda: oracle.evaluate_codes(space, codes)) == expected
 
 
 @pytest.mark.parametrize(
@@ -516,10 +519,8 @@ def test_pm_evaluate_many_keys_each_configuration_where_columns_cannot(emil, cas
     ids=["infinite-input", "energy-overflow", "time-overflow", "zero-power"],
 )
 def test_pm_evaluate_many_rejects_as_evaluate(emil, overrides, error):
-    oracle = PatternMatchOracle(**overrides)
-    expected = outcome(lambda: [oracle.evaluate(c) for c in emil.enumerate_all()])
-    assert outcome(lambda: oracle.evaluate_codes(emil, emil.codes())) == expected
-    assert expected[0] is error
+    failure = em_as_one_at_a_time(emil, PatternMatchOracle(**overrides))
+    assert type(failure.__cause__) is error
 
 
 # ----- CommandEvaluator ----------------------------------------------------------------
@@ -610,6 +611,23 @@ def test_command_missing_row_for_config(ida, tmp_path):
     with pytest.raises(CommandExecutionError) as excinfo:
         evaluator.evaluate(ida.make_config({"CPU-W": 5}))
     assert "no measurement row" in str(excinfo.value)
+
+
+def test_command_names_why_its_last_row_was_rejected(ida, tmp_path):
+    script = tmp_path / "near-miss.py"
+    # GPU-W off the complement of CPU-W; the banner has too few fields to be a row
+    script.write_text(
+        "print('measurement rig booting')\n"
+        "print('0,99,100.0,0.0,1.0,0.0,250.0,0.0,100.0')\n"
+    )
+    evaluator = CommandEvaluator(f'"{sys.executable}" "{script}"', ida)
+    with pytest.raises(CommandExecutionError) as excinfo:
+        evaluator.evaluate(ida.make_config({"CPU-W": 0}))
+    message = str(excinfo.value)
+    assert message.startswith("no measurement row for the requested configuration on stdout")
+    assert message.endswith(
+        "last rejected row: stdout line 2: parameter 'GPU-W': "
+        "expected 100 - CPU-W = 100, got 99")
 
 
 def test_command_last_matching_row_wins(ida, tmp_path):

@@ -1,5 +1,6 @@
 """Campaign runner: EM/AML reports, dataset generation, training, comparison."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_no_children
+from conftest import assert_no_children, em_as_one_at_a_time
 from heterotune import (
     AnnealParams,
     CampaignError,
@@ -26,6 +27,7 @@ from heterotune import (
     ParameterSpace,
     PatternMatchOracle,
     PccOracle,
+    RawMeasurement,
     ReplayEvaluator,
     ReportFormatError,
     compare,
@@ -184,13 +186,6 @@ def test_em_batch_failure_is_the_one_at_a_time_failure(ida, bad, batch_error):
     assert partial.to_dict(False) == one_at_a_time.value.partial_report.to_dict(False)
 
 
-class OneAtATime:
-    """An evaluator's one-row `evaluate` and `describe`, without its batch call."""
-
-    def __init__(self, evaluator):
-        self.evaluate, self.describe = evaluator.evaluate, evaluator.describe
-
-
 @pytest.mark.parametrize("kind", ["oracle", "model"])
 def test_em_off_the_evaluator_tables_fails_as_one_at_a_time(emil, emil_8_tree_model, kind):
     """CPU-T 13 is off the oracle's tables; the model cannot encode a space without ACC-A."""
@@ -201,16 +196,41 @@ def test_em_off_the_evaluator_tables_fails_as_one_at_a_time(emil, emil_8_tree_mo
     else:
         evaluator, first_failure = ModelEvaluator(emil_8_tree_model, emil), 0
         parameters = tuple(p for p in emil.parameters if p.name != "ACC-A")
-    space = ParameterSpace("changed-emil", parameters)
-    with pytest.raises(CampaignError) as one_at_a_time:
-        run_em(space, OneAtATime(evaluator))
-    with pytest.raises(CampaignError) as batched:
-        run_em(space, evaluator)
-    assert str(batched.value) == str(one_at_a_time.value)
-    assert type(batched.value.__cause__) is type(one_at_a_time.value.__cause__)
-    partial = batched.value.partial_report
-    assert partial.evaluations_used == first_failure
-    assert partial.to_dict(False) == one_at_a_time.value.partial_report.to_dict(False)
+    failure = em_as_one_at_a_time(ParameterSpace("changed-emil", parameters), evaluator)
+    assert failure.partial_report.evaluations_used == first_failure
+
+
+class HostDrawOracle(PatternMatchOracle):
+    """The emil-pm oracle with a 50 W host draw over the run, charged to the
+    CPU where it works and to the accelerator otherwise."""
+
+    def measure(self, config):
+        m = super().measure(config)
+        host_j = 50.0 * max(m.cpu_time_s, m.acc_time_s)
+        if m.cpu_workload_mb > 0:
+            return dataclasses.replace(m, cpu_energy_j=m.cpu_energy_j + host_j)
+        return dataclasses.replace(m, acc_energy_j=m.acc_energy_j + host_j)
+
+
+class CpuShareBonus(ModelEvaluator):
+    """The model's estimate plus 0.1 MB/J per CPU-W percent."""
+
+    def evaluate(self, config):
+        return super().evaluate(config) + 0.1 * config["CPU-W"]
+
+
+@pytest.mark.parametrize("kind", ["oracle", "model"])
+def test_em_over_a_subclass_is_one_at_a_time(emil, emil_8_tree_model, kind):
+    """A subclass that changes `measure` or `evaluate` is swept through them: the
+    base class's batch declines, where it would give the base class's values."""
+    if kind == "oracle":
+        evaluator, base = HostDrawOracle(), PatternMatchOracle()
+    else:
+        evaluator = CpuShareBonus(emil_8_tree_model, emil)
+        base = ModelEvaluator(emil_8_tree_model, emil)
+    assert evaluator.evaluate_codes(emil, emil.codes()) is None
+    report = em_as_one_at_a_time(emil, evaluator)
+    assert report.best_value != run_em(emil, base).best_value
 
 
 def test_em_records_build_each_configuration_when_read(emil):
@@ -463,6 +483,27 @@ def test_gen_sample_bounds(ida):
         gen_dataset(ida, PccOracle(), sample=0)
     with pytest.raises(ValueError):
         gen_dataset(ida, PccOracle(), sample=102)
+
+
+def test_gen_sample_builds_only_the_sampled_rows():
+    """Two 4096-value ranges give 2**24 configurations, whose whole code matrix
+    takes 64 MiB; a 10-row sample peaked at 0.04 MiB."""
+    space = ParameterSpace("wide", (Parameter("A", "range", tuple(range(4096))),
+                                    Parameter("B", "range", tuple(range(4096)))))
+
+    class Flat:
+        def measure(self, config):
+            return RawMeasurement(dict(config), 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
+
+    tracemalloc.start()
+    try:
+        rows = gen_dataset(space, Flat(), sample=10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    picks = random.Random(0).sample(range(4096 * 4096), 10)
+    assert [m.config for m in rows] == [{"A": i // 4096, "B": i % 4096} for i in picks]
 
 
 def test_gen_requires_measuring_evaluator(ida):

@@ -142,6 +142,19 @@ def test_codes_give_enumerate_all(space):
         assert [c[name] for c in space.enumerate_all()] == [values[i] for i in codes[:, column]]
 
 
+def test_configs_without_parameters_is_one_empty_dict():
+    space = ParameterSpace("none", ())
+    assert space.codes().shape == (1, 0)
+    assert list(space.configs(space.codes())) == list(space.enumerate_all()) == [{}]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda space: space.name)
+def test_codes_of_given_rows(space):
+    rows = random.Random(0).sample(range(space.cardinality()), min(20, space.cardinality()))
+    assert space.codes(rows).dtype == space.codes().dtype
+    assert space.codes(rows).tolist() == space.codes()[rows].tolist()
+
+
 def test_enumerate_fills_derived_complement(ida):
     for config in ida.enumerate_all():
         assert config["GPU-W"] == 100 - config["CPU-W"]
