@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
-from .space import Configuration, NoNeighborError, ParameterSpace
+from .space import Configuration, ParameterSpace
 
 #: Floor for the normalization scale, guarding against a zero incumbent.
 SCALE_EPSILON = 1e-9
@@ -161,24 +161,27 @@ def derived_cooling_factor(initial_temperature: float, budget: int) -> float:
 def anneal(space: ParameterSpace, evaluator: Any, params: AnnealParams) -> SearchTrace:
     """Run one seeded annealing search and return its trace.
 
-    `evaluator` must expose evaluate(config) -> float. The winner is the
-    first configuration reaching the maximal observed value, boundary seeds
-    included. An evaluator exception or a non-finite value aborts the run
-    with the partial trace attached to the raised SearchAborted.
+    `evaluator` must expose evaluate(config) -> float. The search state is a
+    row of free-parameter positions, as in `space.codes()`; each distinct row
+    becomes a configuration once, through `space.config_at`, and that dict is
+    evaluated and recorded. The winner is the first configuration reaching
+    the maximal observed value, boundary seeds included. An evaluator
+    exception or a non-finite value aborts the run with the partial trace
+    attached to the raised SearchAborted.
     """
     rng = random.Random(params.seed)
-    cache: dict[tuple[Any, ...], tuple[Configuration, float]] = {}
+    cache: dict[tuple[int, ...], tuple[Configuration, float]] = {}
     steps: list[SearchStep] = []
     seed_evaluations: list[tuple[Configuration, float]] = []
 
     def partial_trace() -> SearchTrace:
         return SearchTrace(tuple(steps), tuple(seed_evaluations), tuple(cache.values()))
 
-    def evaluate(config: Configuration) -> float:
-        key = space.config_key(config)
-        hit = cache.get(key)
+    def evaluate(row: tuple[int, ...]) -> tuple[Configuration, float]:
+        hit = cache.get(row)
         if hit is not None:
-            return hit[1]
+            return hit
+        config = space.config_at(row)
         try:
             value = float(evaluator.evaluate(config))
         except Exception as exc:
@@ -189,47 +192,42 @@ def anneal(space: ParameterSpace, evaluator: Any, params: AnnealParams) -> Searc
             raise SearchAborted(
                 f"evaluator returned {value!r} on {config!r}", partial_trace()
             )
-        cache[key] = (config, value)
-        return value
+        cache[row] = hit = (config, value)
+        return hit
 
     # Boundary seeds: both extremes of the first workload-split parameter.
     sources = space.complement_sources()
     if sources:
-        source = space.parameter(sources[0])
-        base = space.random_config(rng)
-        free_names = [p.name for p in space.free_parameters]
-        for boundary in (source.domain[-1], source.domain[0]):
-            assignment = {name: base[name] for name in free_names}
-            assignment[source.name] = boundary
-            config = space.make_config(assignment)
-            seed_evaluations.append((config, evaluate(config)))
+        values, column = space.code_table(sources[0])
+        base = space.random_row(rng)
+        for boundary in (len(values) - 1, 0):
+            seed_evaluations.append(evaluate(base[:column] + (boundary,) + base[column + 1:]))
 
-    current_config = space.random_config(rng)
-    current_value = evaluate(current_config)
-    seed_evaluations.append((current_config, current_value))
+    current_row = space.random_row(rng)
+    seed_evaluations.append(evaluate(current_row))
+    current_value = seed_evaluations[-1][1]
     # The best value seen before each step scales its acceptance probability.
     best_value = max(value for _, value in seed_evaluations)
 
-    mutable = [p for p in space.free_parameters if p.size > 1]
-    if mutable:
+    if any(p.size > 1 for p in space.free_parameters):
         # The budget counts the distinct evaluations after the seeds.
         budget = params.evaluation_budget
         limit = math.inf if budget is None else len(cache) + budget
         alpha = params.effective_cooling_factor
         temperature = params.initial_temperature
         while temperature > TEMPERATURE_FLOOR and len(cache) < limit:
-            candidate = space.neighbor(current_config, rng)
-            value = evaluate(candidate)
+            candidate = space.neighbor(current_row, rng)
+            config, value = evaluate(candidate)
             probability = acceptance_probability(
                 current_value, value, temperature, best_value
             )
             best_value = max(best_value, value)
             accepted = rng.random() < probability
             steps.append(
-                SearchStep(len(steps), temperature, candidate, value, accepted, probability)
+                SearchStep(len(steps), temperature, config, value, accepted, probability)
             )
             if accepted:
-                current_config, current_value = candidate, value
+                current_row, current_value = candidate, value
             temperature = cooling_step(temperature, alpha)
 
     return partial_trace()

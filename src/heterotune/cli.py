@@ -45,7 +45,6 @@ from .metrics import (
 )
 from .space import (
     Configuration,
-    NoNeighborError,
     ParameterSpace,
     SpaceDefinitionError,
     bundled_space,
@@ -434,7 +433,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         SearchAborted,
         CampaignError,
         NotRecordedError,
-        NoNeighborError,
         UndefinedEfficiencyError,
         UndefinedScoreError,
         ChildProcessError,  # a training process died; an OSError, but not a usage error

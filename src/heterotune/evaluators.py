@@ -76,6 +76,13 @@ class CommandExecutionError(RuntimeError):
         self.stderr = stderr
 
 
+def _batch_matches(evaluator: Any, cls: type) -> bool:
+    """Whether `cls.evaluate_codes` gives `evaluator.evaluate`'s values: not
+    for a subclass, nor for an instance whose `evaluate` or `measure` was
+    replaced by assignment."""
+    return type(evaluator) is cls and not {"evaluate", "measure"} & vars(evaluator).keys()
+
+
 class Evaluator:
     """Base class: evaluation defaults to MB/J of self.measure(config)."""
 
@@ -110,8 +117,8 @@ class ModelEvaluator(Evaluator):
     def evaluate_codes(self, space: ParameterSpace, codes: np.ndarray) -> list[float] | None:
         """One batch prediction over rows of `space.codes()`, bit for bit
         `evaluate`'s, each feature gathered from a code -> feature table; None
-        for a space the model cannot encode, or from a subclass."""
-        if type(self) is not ModelEvaluator:
+        for a space the model cannot encode, or where `_batch_matches` fails."""
+        if not _batch_matches(self, ModelEvaluator):
             return None
         matrix = np.empty((len(codes), len(self.space.parameters)), dtype=np.float64)
         try:
@@ -412,10 +419,10 @@ class PatternMatchOracle(Evaluator):
         per configuration for both units; the rest runs in NumPy with the
         operations of `measure` and `metrics.energy_efficiency`, in the same
         order. None where that cannot match `evaluate`: a missing parameter, a
-        value off the modeled domain, a measurement either would reject, or a
-        subclass.
+        value off the modeled domain, a measurement either would reject, or
+        where `_batch_matches` fails.
         """
-        if type(self) is not PatternMatchOracle:
+        if not _batch_matches(self, PatternMatchOracle):
             return None
         tables = (self.cpu_thread_scale, self.cpu_affinity_scale,
                   self.acc_thread_scale, self.acc_affinity_scale)

@@ -22,7 +22,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._documents import read
+from ._documents import failures_as, read
 from .space import Configuration, ParameterSpace
 
 #: Measurement-log value columns, in order, following the space's parameter
@@ -317,12 +317,11 @@ def log_has_header(path: str) -> bool:
     """Whether a log exists with a first line to append after; raises
     MeasurementLogError if it is not UTF-8 text."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return bool(handle.readline().strip())
+        handle = open(path, "r", encoding="utf-8")
     except OSError:
         return False
-    except UnicodeDecodeError as exc:
-        raise MeasurementLogError(f"measurement log is not UTF-8 text: {exc}") from exc
+    with handle, failures_as(MeasurementLogError, f"measurement log {path}"):
+        return bool(handle.readline().strip())
 
 
 def append_measurement(path: str, space: ParameterSpace, m: RawMeasurement) -> None:

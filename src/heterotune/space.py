@@ -202,12 +202,8 @@ class ParameterSpace:
             "_by_name": by_name,
             "_free": free,
             "_derived": derived,
-            # Per movable parameter: the exact value type of its domain and a
-            # value -> position table, so `neighbor` skips `domain.index` on a hit.
-            "_moves": tuple(
-                (p, int if p.is_numeric else str, {v: i for i, v in enumerate(p.domain)})
-                for p in free if p.size > 1
-            ),
+            # Per free parameter with more than one value: its column in `codes`.
+            "_movable": tuple((j, p) for j, p in enumerate(free) if p.size > 1),
             # Per parameter: the exact value type of its domain and a
             # value -> code table, so `encode` skips `code_of` on a hit.
             "_encoders": tuple(
@@ -280,11 +276,6 @@ class ParameterSpace:
         rows = zip(*columns) if columns else [()] * len(codes)  # a row without parameters is {}
         return map(dict, map(zip, [tuple(self._code_tables)] * len(codes), rows))
 
-    def _fill_derived(self, config: Configuration) -> None:
-        for name, source in self._derived:
-            if name not in config:
-                config[name] = COMPLEMENT_TOTAL - config[source]
-
     def make_config(self, assignment: Mapping[str, Any]) -> Configuration:
         """Build a configuration from a (possibly partial) assignment.
 
@@ -303,7 +294,9 @@ class ParameterSpace:
         if missing_sources:
             names = ", ".join(missing_sources)
             raise SpaceDefinitionError(f"cannot fill derived parameter(s): {names}")
-        self._fill_derived(config)
+        for name, source in self._derived:
+            if name not in config:
+                config[name] = COMPLEMENT_TOTAL - config[source]
         return config
 
     # ----- validation ----------------------------------------------------
@@ -340,14 +333,12 @@ class ParameterSpace:
 
     # ----- sampling and moves ---------------------------------------------
 
-    def random_config(self, rng: random.Random) -> Configuration:
-        """Draw each free parameter uniformly from its domain."""
-        config = {p.name: rng.choice(p.domain) for p in self._free}
-        self._fill_derived(config)
-        return config
+    def random_row(self, rng: random.Random) -> tuple[int, ...]:
+        """Draw each free parameter's position uniformly: one row of `codes`."""
+        return tuple(rng.randrange(p.size) for p in self._free)
 
-    def neighbor(self, config: Mapping[str, Any], rng: random.Random) -> Configuration:
-        """Return a copy of config with exactly one free parameter changed.
+    def neighbor(self, row: Sequence[int], rng: random.Random) -> tuple[int, ...]:
+        """Return a copy of a row of `codes` with exactly one position changed.
 
         The modified parameter is chosen uniformly among free parameters
         with more than one admissible value. Ordered numeric domains move
@@ -355,15 +346,12 @@ class ParameterSpace:
         different level otherwise; categorical parameters draw uniformly
         among the other labels.
         """
-        if not self._moves:
+        if not self._movable:
             raise NoNeighborError(
                 f"space {self.name!r} has no free parameter with more than one value"
             )
-        param, value_type, positions = rng.choice(self._moves)
-        current = config[param.name]
-        idx = positions.get(current) if type(current) is value_type else None
-        if idx is None:
-            idx = param.domain.index(current)
+        column, param = rng.choice(self._movable)
+        idx = row[column]
         if param.is_numeric and rng.random() < ADJACENT_MOVE_PROBABILITY:
             if idx == 0:
                 new_idx = 1
@@ -375,12 +363,7 @@ class ParameterSpace:
             new_idx = rng.randrange(param.size - 1)
             if new_idx >= idx:
                 new_idx += 1
-        known = self._name_set
-        moved = {k: v for k, v in config.items() if k in known}
-        moved[param.name] = param.domain[new_idx]
-        for name, source in self._derived:
-            moved[name] = COMPLEMENT_TOTAL - moved[source]
-        return moved
+        return (*row[:column], new_idx, *row[column + 1:])
 
     # ----- encoding --------------------------------------------------------
 

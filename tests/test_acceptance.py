@@ -455,7 +455,7 @@ def test_criterion_6c_escapes_local_optimum():
 
     sa_hits = greedy_hits = 0
     for seed in range(100):
-        start = space.random_config(random.Random(seed))
+        start = space.config_at(space.random_row(random.Random(seed)))
         trace = anneal(space, TwoPeak(), AnnealParams(seed=seed))
         assert trace.seed_evaluations[0][0] == start  # identical starts
         if trace.winner_config["V"] == global_argmax:

@@ -109,6 +109,20 @@ def test_aml_with_budget_and_trace(capsys, tmp_path):
     assert header.startswith("step,temperature,CPU-W,GPU-W,value")
 
 
+def test_aml_over_a_space_without_a_move(capsys, tmp_path):
+    """One configuration: the seeds are the whole search, and no move is drawn."""
+    path = tmp_path / "one.yaml"
+    path.write_text(
+        "name: one\n"
+        "parameters:\n"
+        "  - {name: CPU-W, kind: levels, values: [100]}\n"
+        "  - {name: GPU-W, derived_from: CPU-W}\n"
+    )
+    code, out, _ = run(capsys, "aml", "--space", str(path), "--eval", "oracle:ida-pcc")
+    assert code == 0
+    assert "method: AML" in out
+
+
 def test_aml_budget_fraction(capsys, tmp_path):
     out_path = tmp_path / "aml.json"
     code, _, _ = run(
@@ -374,7 +388,7 @@ def test_exit_3_on_command_log_that_is_not_utf8(capsys, tmp_path):
         "--cmd-log", str(log), "--budget", "3",
     )
     assert code == 3
-    assert "data error" in err and "not UTF-8" in err
+    assert "data error" in err and "can't decode" in err
     assert not calls.exists()  # the command never ran
     assert log.read_bytes() == b"\xff\xfe"
 

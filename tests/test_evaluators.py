@@ -55,7 +55,7 @@ def test_model_evaluator_matches_direct_prediction(emil, small_emil_model):
     evaluator = ModelEvaluator(small_emil_model, emil)
     rng = random.Random(8)
     for _ in range(100):
-        config = emil.random_config(rng)
+        config = emil.config_at(emil.random_row(rng))
         assert evaluator.evaluate(config) == predict_boosted(
             small_emil_model, emil.encode(config)
         )
@@ -106,7 +106,7 @@ def test_model_evaluator_from_file(emil, small_emil_model, tmp_path):
     path = tmp_path / "model.json"
     save_model(small_emil_model, path)
     evaluator = ModelEvaluator.from_file(str(path), emil)
-    config = emil.random_config(random.Random(1))
+    config = emil.config_at(emil.random_row(random.Random(1)))
     assert evaluator.evaluate(config) == predict_boosted(
         small_emil_model, emil.encode(config)
     )
@@ -287,7 +287,7 @@ def test_pm_deterministic(emil):
     b = PatternMatchOracle()
     rng = random.Random(12)
     for _ in range(50):
-        config = emil.random_config(rng)
+        config = emil.config_at(emil.random_row(rng))
         assert a.evaluate(config) == b.evaluate(config)
 
 
@@ -408,7 +408,7 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def unreachable(config):
+def unreachable(*args):
     raise AssertionError("evaluate_codes fell back to evaluate")
 
 
@@ -421,7 +421,8 @@ def unreachable(config):
 def test_pm_evaluate_many_is_evaluate_bit_for_bit(emil, overrides, monkeypatch):
     oracle = PatternMatchOracle(**overrides)
     one_at_a_time = outcome(lambda: [oracle.evaluate(c) for c in emil.enumerate_all()])
-    monkeypatch.setattr(oracle, "evaluate", unreachable)  # the NumPy path, every row
+    # Only the one-row path calls it: the NumPy path serves every row.
+    monkeypatch.setattr("heterotune.metrics.energy_efficiency", unreachable)
     assert outcome(lambda: oracle.evaluate_codes(emil, emil.codes())) == one_at_a_time
 
 
@@ -441,7 +442,8 @@ def unit_jitter(seed, config, unit, amplitude):
 @pytest.mark.parametrize("seed, amplitude", [(0, 0.03), (7, 0.5), (3, 0.0)])
 def test_rugged_factors_hash_each_unit_tail_after_one_key(emil, seed, amplitude):
     rng = random.Random(seed)
-    for config in [emil.random_config(rng) for _ in range(50)] + [{"CPU-W": 5, "n": 1.5}]:
+    configs = [emil.config_at(emil.random_row(rng)) for _ in range(50)]
+    for config in configs + [{"CPU-W": 5, "n": 1.5}]:
         assert _rugged_factors(seed, config, amplitude) == tuple(
             unit_jitter(seed, config, unit, amplitude) for unit in ("cpu", "acc"))
 
@@ -449,7 +451,7 @@ def test_rugged_factors_hash_each_unit_tail_after_one_key(emil, seed, amplitude)
 def test_model_evaluate_many_is_evaluate_bit_for_bit(emil, emil_8_tree_model, monkeypatch):
     evaluator = ModelEvaluator(emil_8_tree_model, emil)
     one_at_a_time = outcome(lambda: [evaluator.evaluate(c) for c in emil.enumerate_all()])
-    monkeypatch.setattr(evaluator, "evaluate", unreachable)
+    monkeypatch.setattr("heterotune.evaluators.predict_boosted", unreachable)
     codes = emil.codes()
     many = evaluator.evaluate_codes(emil, codes)
     assert all(type(v) is float for v in many)
@@ -506,7 +508,7 @@ def test_pm_evaluate_many_keys_each_configuration_where_columns_cannot(emil, cas
     if isinstance(expected, tuple):  # a configuration fails
         em_as_one_at_a_time(space, oracle)
     else:  # values, which the NumPy path must give
-        monkeypatch.setattr(oracle, "evaluate", unreachable)
+        monkeypatch.setattr("heterotune.metrics.energy_efficiency", unreachable)
         assert outcome(lambda: oracle.evaluate_codes(space, codes)) == expected
 
 

@@ -381,6 +381,16 @@ def test_append_measurement(ida, tmp_path):
     assert read_measurement_log(path, ida) == [first, second]
 
 
+def test_append_measurement_to_a_log_that_is_not_utf8(ida, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\xfe")
+    row = random_measurement(ida, random.Random(5))
+    with pytest.raises(MeasurementLogError, match="can't decode") as excinfo:
+        append_measurement(path, ida, row)
+    assert f"malformed measurement log {path}: " in str(excinfo.value)
+    assert path.read_bytes() == b"\xff\xfe"
+
+
 def test_log_header_mismatch_reports_line(ida, emil, tmp_path):
     path = tmp_path / "log.csv"
     write_measurement_log(path, emil, [])
