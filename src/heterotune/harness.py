@@ -22,7 +22,7 @@ from . import metrics
 from ._documents import exact, failures_as, finite, read
 from .annealing import AnnealParams, SearchStep, SearchTrace, anneal, first_best
 from .metrics import (
-    MeasurementLogError, RawMeasurement, read_measurement_log, write_measurement_log,
+    MeasurementLogError, RawMeasurement, read_measurement_lines, write_measurement_log,
 )
 from .space import Configuration, ParameterSpace
 from .surrogate import (
@@ -350,13 +350,14 @@ def gen_dataset(
 
 
 def dataset_from_measurements(
-    space: ParameterSpace, rows: Sequence[RawMeasurement]
+    space: ParameterSpace, rows: Sequence[RawMeasurement],
+    lines: Sequence[int] | None = None,
 ) -> Dataset:
     """Encode measurements into a training dataset (target: MB/J).
 
     A row whose efficiency is undefined (zero total power, or energy over a
     zero time) cannot be a target: it is a MeasurementLogError naming the
-    row's 1-based position.
+    row's 1-based position and, for rows read from a log, its line in `lines`.
     """
     pairs = []
     for number, m in enumerate(rows, 1):
@@ -364,13 +365,17 @@ def dataset_from_measurements(
         try:
             target = metrics.energy_efficiency(m)
         except (metrics.InvalidMeasurementError, metrics.UndefinedEfficiencyError) as exc:
-            raise MeasurementLogError(f"measurement row {number} ({m.config!r}): {exc}") from exc
+            problem = f"measurement row {number} ({m.config!r}): {exc}"
+            if lines is None:
+                raise MeasurementLogError(problem) from exc
+            line = lines[number - 1]
+            raise MeasurementLogError(f"line {line}: {problem}", line) from exc
         pairs.append((features, target))
     return Dataset.from_rows(space.names, pairs)
 
 
 def dataset_from_log(path: str, space: ParameterSpace) -> Dataset:
-    return dataset_from_measurements(space, read_measurement_log(path, space))
+    return dataset_from_measurements(space, *read_measurement_lines(path, space))
 
 
 def parse_validation_spec(spec: str) -> tuple[str, Any]:
@@ -428,14 +433,14 @@ def train_model(
     the same time on the usable CPUs (see `validate_and_fit`).
     """
     scheme, argument = parse_validation_spec(validation)
-    rows = read_measurement_log(log_path, space)
+    rows, lines = read_measurement_lines(log_path, space)
     if len(rows) < MIN_TRAINING_ROWS:  # a data problem in the log, not a usage error
         raise MeasurementLogError(
             f"training needs at least {MIN_TRAINING_ROWS} measurement rows, "
             f"got {len(rows)}",
             line_number=0,
         )
-    data = dataset_from_measurements(space, rows)
+    data = dataset_from_measurements(space, rows, lines)
 
     outcome, model = validate_and_fit(
         data, seed, hyper=hyper,

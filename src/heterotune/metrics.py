@@ -337,24 +337,32 @@ def append_measurement(path: str, space: ParameterSpace, m: RawMeasurement) -> N
 def read_measurement_log(path: str, space: ParameterSpace) -> list[RawMeasurement]:
     """Read a whole log; raises MeasurementLogError, with a line number where
     one row is at fault."""
+    return read_measurement_lines(path, space)[0]
+
+
+def read_measurement_lines(
+    path: str, space: ParameterSpace
+) -> tuple[list[RawMeasurement], list[int]]:
+    """`read_measurement_log`, with the line each row ends on."""
     return read(path, csv.reader, lambda reader: _parse_log(reader, space),
                 MeasurementLogError, "measurement log")
 
 
-def _parse_log(reader: Any, space: ParameterSpace) -> list[RawMeasurement]:
+def _parse_log(reader: Any, space: ParameterSpace) -> tuple[list[RawMeasurement], list[int]]:
     try:
         header = next(reader)
         if header != log_header(space):
             raise MeasurementLogError(
                 f"line 1: header {header!r} does not match space {space.name!r}", 1
             )
-        measurements = []
+        measurements, lines = [], []
         for fields in reader:
             if not fields:
                 continue
             measurements.append(parse_measurement_row(fields, space, reader.line_num))
+            lines.append(reader.line_num)
     except StopIteration:
         raise MeasurementLogError("empty measurement log", 1) from None
     except csv.Error as exc:  # a line csv cannot split, such as an overlong field
         raise MeasurementLogError(f"line {reader.line_num}: {exc}", reader.line_num) from exc
-    return measurements
+    return measurements, lines

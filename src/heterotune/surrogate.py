@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class ModelFormatError(ValueError):
 MODEL_FORMAT = "boosted-regression-tree"
 MODEL_VERSION = 1
 LINEAR_LOSS = "linear"
-# Rows per block of batch prediction. Smaller blocks cost more per-call
+# Rows per block of batch prediction, and the training rows up to which the
+# fits of one process grow together. Smaller blocks cost more per-call
 # overhead; larger ones raise the peak memory.
 PREDICT_BLOCK_ROWS = 4096
 
@@ -141,76 +142,93 @@ class RegressionTree:
         return self.feature.count(-1)
 
 
-def _column_codes(X: np.ndarray) -> np.ndarray:
-    """Rank of each value within its column; equal values share a code."""
-    return np.column_stack([np.unique(column, return_inverse=True)[1] for column in X.T])
-
-
 def _small(a: np.ndarray) -> np.ndarray:
     """Non-negative integers as uint16 where they fit, which NumPy's stable sort
     orders by radix."""
     return a.astype(np.uint16) if a.max(initial=0) < 2**16 else a
 
 
+def _column_codes(X: np.ndarray) -> np.ndarray:
+    """Rank of each value within its column, one row per feature: (features, rows).
+    Equal values share a code."""
+    return _small(np.stack([np.unique(column, return_inverse=True)[1] for column in X.T]))
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal values begins."""
+    starts = np.flatnonzero(a[1:] != a[:-1]) + 1
+    return np.concatenate(([0], starts)) if len(a) else starts
+
+
 def _level_splits(
     X: np.ndarray, r: np.ndarray, codes: np.ndarray, yc: np.ndarray,
     nid: np.ndarray, counts: np.ndarray, min_samples_leaf: int,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best (feature, threshold) of each node of a depth, or (-1, -inf) where none.
 
-    Rows X[r] are node-major in nodes nid; yc = y - node mean keeps the sums well
-    conditioned. A node is searched as if alone: rows in (x, yc) order, sums
-    from its first row, then the lowest SSE, feature and midpoint threshold. The
-    running sums of nodes of one power-of-two padded width are one matrix; the
-    SSE is taken only at candidate cuts, where the code changes and both sides
-    keep min_samples_leaf rows.
+    Rows X[r] are node-major in nodes nid and y-ascending within each node; codes
+    are their `_column_codes`, (features, rows); yc = y - node mean keeps the
+    sums well conditioned. A node is searched as if alone: rows in (x, yc)
+    order, sums from its first row, then the lowest SSE, feature and midpoint
+    threshold. The SSE is taken only at candidate cuts, where the code changes
+    and both sides keep min_samples_leaf rows. The running sums go to `work`,
+    of at least 4 * features * rows floats, where given.
     """
-    d, n, nodes = X.shape[1], len(r), len(counts)
+    d, n, nodes = codes.shape[0], len(r), len(counts)
     starts = np.cumsum(counts) - counts
-    order = np.argsort(yc, kind="stable")
-    order = order[np.argsort(_small(nid).take(order), kind="stable")]  # by (node, yc, row)
-    # A stable sort on (node, code) keeps the yc order among equal codes.
-    keys = _small(nid * (int(codes.max(initial=0)) + 1) + codes[order].T)
-    sorted_at = np.argsort(keys, axis=1, kind="stable")
-    perm, keys = order[sorted_at], keys.take(sorted_at + (np.arange(d) * n)[:, None])
-    # A cut after sorted position p; nid is the node of each position.
+    # A stable sort on (node, code) keeps the y order, and so the yc order, among
+    # equal codes; rows of equal yc add the same values in either order. The keys
+    # take the fewest bits, as NumPy sorts 8- and 16-bit keys by radix.
+    span = int(codes.max(initial=0)) + 1
+    small = np.min_scalar_type(nodes * span - 1)
+    perm = np.argsort(np.add(codes, (nid * span).astype(small), dtype=small, casting="unsafe"),
+                      axis=1, kind="stable")
+    ranked = codes.take(perm + (np.arange(d) * n)[:, None])  # as perm orders each row
+    # A cut after sorted position p, where p is in node nid[p]; no cut ends a node.
     n_left = np.arange(1, n) - starts[nid[:-1]]
-    n_right = counts[nid[:-1]] - n_left  # below 1 where p is a node's last row
-    f, p = np.nonzero((keys[:, :-1] < keys[:, 1:])
-                      & (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf))
+    n_right = counts[nid[:-1]] - n_left  # 0 where p is a node's last row
+    f, p = np.nonzero((ranked[:, :-1] < ranked[:, 1:])
+                      & ((n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)))
     node = nid[p]
-    # Running sums per (feature, node) from the node's first row, one width class
-    # at a time: a node's feature-f row starts at base[node] + f * stride[node].
-    ys = yc.take(perm)
+    # Running sums and sums of squares per (feature, node) from the node's first
+    # row, in buf, (2, d, P). Each node is padded to the largest count of its
+    # power-of-two width class, and the nodes lie class by class, so a class is
+    # one (2, d, nodes, W) block; a node's feature-f sums start at f * P + base[node].
     width = np.frexp(counts - 1)[1]  # log2 of the padded width: (count - 1).bit_length()
-    base, stride = np.empty(nodes, dtype=np.intp), np.empty(nodes, dtype=np.intp)
-    cum_s, cum_q = np.empty(2 * d * n), np.empty(2 * d * n)  # padding at most doubles a node
-    end = 0
-    for w in np.unique(width).tolist():
-        members = np.flatnonzero(width == w)
-        W = int(counts[members].max())
-        # (d, members, W); positions past a node's last row are never read.
-        rows = ys.take(starts[members][:, None] + np.arange(W), axis=1, mode="clip")
-        base[members], stride[members] = end + W * np.arange(len(members)), rows[0].size
-        block = slice(end, end + rows.size)
-        np.cumsum(rows, axis=2, out=cum_s[block].reshape(rows.shape))
-        with np.errstate(over="ignore"):  # an infinite sum of squares never wins below
-            np.cumsum(np.multiply(rows, rows, out=rows), axis=2, out=cum_q[block].reshape(rows.shape))
-        end += rows.size
-    at = base[node] + f * stride[node]
+    by_class = np.argsort(width, kind="stable")
+    first = _run_starts(width[by_class])
+    W = np.maximum.reduceat(counts[by_class], first)
+    padded = np.repeat(W, np.diff(np.append(first, nodes)))
+    ends = np.cumsum(padded)
+    P = int(ends[-1])
+    base = np.empty(nodes, dtype=np.intp)
+    base[by_class] = ends - padded
+    # Positions past a node's last row repeat a later row and are never read.
+    at = np.repeat(starts[by_class] - base[by_class], padded) + np.arange(P)
+    buf = (np.empty(2 * d * P) if work is None else work[:2 * d * P]).reshape(2, d, P)
+    yc.take(perm).take(at, axis=1, mode="clip", out=buf[0])
+    with np.errstate(over="ignore"):  # an infinite sum of squares never wins below
+        np.multiply(buf[0], buf[0], out=buf[1])
+        bounds = np.append(ends[first] - W, P).tolist()  # each class's first column, then P
+        for a, b, w in zip(bounds, bounds[1:], W.tolist()):
+            block = buf[:, :, a:b].reshape(2, d, -1, w)
+            np.cumsum(block, axis=3, out=block)
+    cum = buf.reshape(-1)
+    at = f * P + base[node]
     last = at + counts[node] - 1  # the node's last row: its totals
     at += p - starts[node]
-    s_left, q_left = cum_s.take(at), cum_q.take(at)
+    s_left, q_left = cum.take(at), cum.take(at + d * P)
     n_left, n_right = n_left[p], n_right[p]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s_right, q_right = cum_s.take(last) - s_left, cum_q.take(last) - q_left
+        s_right, q_right = cum.take(last) - s_left, cum.take(last + d * P) - q_left
         sse = (q_left - s_left * s_left / n_left) + (q_right - s_right * s_right / n_right)
     # An overflow gives NaN, or -inf where a square of a sum overflows but the sum
     # of squares does not; neither is an SSE, so neither wins.
     sse[~np.isfinite(sse)] = math.inf
     # Candidates come in (feature, node, cut) order; reduce each (feature, node).
     row = f * nodes + node
-    first = np.flatnonzero(np.diff(row, prepend=-1))
+    first = _run_starts(row)
     best = np.full(d * nodes, math.inf)
     best[row[first]] = np.minimum.reduceat(sse, first) if len(sse) else []
     best = best.reshape(d, nodes)
@@ -218,7 +236,7 @@ def _level_splits(
     # Each node's first candidate that reaches the minimum of its winning feature:
     # a node's hits are one run, as the node lies in one (feature, node) group.
     hits = np.flatnonzero((sse == best.ravel()[row]) & (f == feature[node]))
-    hits = hits[np.diff(node[hits], prepend=-1) != 0]
+    hits = hits[_run_starts(node[hits])]
     won, j, at = node[hits], f[hits], p[hits]
     lo, hi = X[r[perm[j, at]], j], X[r[perm[j, at + 1]], j]  # the values either side of the cut
     with np.errstate(over="ignore"):
@@ -230,51 +248,130 @@ def _level_splits(
     return feature, threshold
 
 
-def _build_tree(
-    X: np.ndarray, y: np.ndarray, codes: np.ndarray, rows: np.ndarray,
+def _grow_trees(
+    X: np.ndarray, y: np.ndarray, codes: np.ndarray, sizes: Sequence[int],
     max_depth: int | None, min_samples_leaf: int,
-) -> RegressionTree:
-    """Grow a tree on X[rows], one depth at a time; a repeated row counts each time.
+) -> list[RegressionTree]:
+    """Grow one tree per root, one depth at a time; a repeated row counts each time.
 
-    codes is `_column_codes(X)`. Breadth-first ids, where a split's children are
-    left and left + 1, are relabelled in preorder at the end.
+    Root i holds the next sizes[i] rows of X and y, in y-ascending order, and
+    codes are their `_column_codes`, (features, rows). Every root is a depth-0
+    node, so the trees share each depth's split search. A stable partition by
+    child keeps each node's rows y-ascending. Breadth-first ids, where a split's
+    children are left and left + 1, are relabelled in preorder at the end.
     """
     levels, first = [], 0  # per depth: feature, threshold, value, left; next depth's first id
-    at, nid = np.arange(len(rows)), np.zeros(len(rows), dtype=np.intp)  # node-major
+    at = np.arange(len(y))  # node-major
+    nid = np.repeat(np.arange(len(sizes)), sizes)
+    # Every depth's running sums share one buffer: padding leaves a depth fewer
+    # than twice its rows, and a fresh buffer per depth cost page faults.
+    work = np.empty(4 * codes.shape[0] * len(y))
     while len(at):
-        r = rows[at]
-        yr, counts = y[r], np.bincount(nid)
+        yr, counts = y.take(at), np.bincount(nid)
         starts = np.cumsum(counts) - counts
         y_l = yr.tolist()
         # fsum is exactly rounded, so row order is moot.
         center = [math.fsum(y_l[a:b]) / (b - a)
                   for a, b in zip(starts.tolist(), (starts + counts).tolist())]
         open_ = (counts >= 2 * min_samples_leaf) & (max_depth is None or len(levels) < max_depth)
-        open_ &= np.minimum.reduceat(yr, starts) < np.maximum.reduceat(yr, starts)
+        open_ &= yr[starts] < yr[starts + counts - 1]  # y-ascending: first < last unless constant
         split, cut, keep = np.full(len(counts), -1), np.full(len(counts), -math.inf), open_[nid]
         if open_.any():
+            r = at[keep]
             split[open_], cut[open_] = _level_splits(
-                X, r[keep], codes[r[keep]], yr[keep] - np.array(center)[nid[keep]],
-                (np.cumsum(open_) - 1)[nid[keep]], counts[open_], min_samples_leaf)
+                X, r, codes.take(r, axis=1), yr[keep] - np.array(center)[nid[keep]],
+                (np.cumsum(open_) - 1)[nid[keep]], counts[open_], min_samples_leaf, work)
         rank = np.cumsum(split >= 0) - 1
         first += len(counts)
         levels.append((split, cut, np.where(split >= 0, math.nan, center), first + 2 * rank))
         at, nid = at[split[nid] >= 0], nid[split[nid] >= 0]
-        nid = 2 * rank[nid] + ~(X[rows[at], split[nid]] < cut[nid])  # children, breadth-first
+        nid = 2 * rank[nid] + ~(X[at, split[nid]] < cut[nid])  # children, breadth-first
         by_child = np.argsort(_small(nid), kind="stable")
         at, nid = at[by_child], nid[by_child]
     feature, threshold, value, left = (np.concatenate(a).tolist() for a in zip(*levels))
-    order, stack = [], [0]
-    while stack:  # preorder: a node, its left subtree, then its right subtree
-        order.append(stack.pop())
-        if feature[order[-1]] >= 0:
-            stack += [left[order[-1]] + 1, left[order[-1]]]
-    pre = {node: i for i, node in enumerate(order)}
-    nodes = [
-        (feature[b], threshold[b], pre[left[b]], pre[left[b] + 1], value[b]) if feature[b] >= 0
-        else (-1, -math.inf, i, i, value[b]) for i, b in enumerate(order)
-    ]
-    return RegressionTree(*zip(*nodes), X.shape[1])
+    trees = []
+    for root in range(len(sizes)):
+        order, stack = [], [root]
+        while stack:  # preorder: a node, its left subtree, then its right subtree
+            order.append(stack.pop())
+            if feature[order[-1]] >= 0:
+                stack += [left[order[-1]] + 1, left[order[-1]]]
+        pre = {node: i for i, node in enumerate(order)}
+        nodes = [
+            (feature[b], threshold[b], pre[left[b]], pre[left[b] + 1], value[b]) if feature[b] >= 0
+            else (-1, -math.inf, i, i, value[b]) for i, b in enumerate(order)
+        ]
+        trees.append(RegressionTree(*zip(*nodes), X.shape[1]))
+    return trees
+
+
+# A fit in steps: a generator that yields each tree it needs as
+# (X, y, codes, rows, max_depth, min_samples_leaf), with codes = _column_codes(X),
+# is sent the tree grown on X[rows], and returns the fit's result.
+Steps = Generator[tuple, RegressionTree, Any]
+
+
+def _build_trees(asks: Sequence[tuple]) -> list[RegressionTree]:
+    """The trees asked for, of one max_depth and min_samples_leaf, in one level pass."""
+    sizes = [len(ask[3]) for ask in asks]
+    X = np.empty((sum(sizes), asks[0][0].shape[1]))
+    y = np.empty(len(X))
+    codes = np.empty((X.shape[1], len(X)), dtype=np.result_type(*(ask[2] for ask in asks)))
+    end = 0
+    for (X_i, y_i, codes_i, rows, *_), size in zip(asks, sizes):
+        rows = rows[np.argsort(y_i.take(rows), kind="stable")]  # y-ascending, once per tree
+        X_i.take(rows, axis=0, out=X[end:end + size])
+        y_i.take(rows, out=y[end:end + size])
+        codes_i.take(rows, axis=1, out=codes[:, end:end + size])
+        end += size
+    return _grow_trees(X, y, codes, sizes, *asks[0][4:])
+
+
+def _run_together(fits: Sequence[Steps]) -> list[Any]:
+    """Run fits stage by stage, growing the trees that a stage asks for in one
+    level pass per (max_depth, min_samples_leaf).
+
+    The outcomes of the fits up to the first that raised: each one's result, or
+    the exception it raised; an error in a shared pass is that of its first fit.
+    Each fit draws only from its own generator, so these are the bits of running
+    the fits one after another, which starts no fit after a failure.
+    """
+    outcomes: dict[int, Any] = {}
+    sent: dict[int, Any] = dict.fromkeys(range(len(fits)))
+    while sent:
+        passes: dict[tuple, dict[int, tuple]] = {}
+        for i in sorted(sent):
+            try:
+                ask = fits[i].send(sent[i])
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+                continue
+            except Exception as exc:
+                outcomes[i] = exc
+                break  # a serial run never gets to the fits after it
+            passes.setdefault(ask[4:], {})[i] = ask
+        sent = {}
+        for asked in passes.values():
+            try:
+                sent.update(zip(asked, _build_trees(list(asked.values()))))
+            except Exception as exc:
+                outcomes[min(asked)] = exc
+    failed = min((i for i, outcome in outcomes.items() if isinstance(outcome, Exception)),
+                 default=len(fits) - 1)
+    return [outcomes[i] for i in range(failed + 1)]
+
+
+def _value(outcome: Any) -> Any:
+    """A fit's result; the exception it raised is raised here."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _one_tree(data: Dataset, max_depth: int | None, min_samples_leaf: int) -> Steps:
+    """A single tree on every row, in steps."""
+    X = data.features
+    return (yield X, data.targets, _column_codes(X), np.arange(len(data)), max_depth, min_samples_leaf)
 
 
 def fit_tree(
@@ -282,8 +379,7 @@ def fit_tree(
 ) -> RegressionTree:
     """Fit a CART regression tree by greedy variance reduction."""
     Hyperparameters(max_depth=max_depth, min_samples_leaf=min_samples_leaf)  # checks both
-    codes, rows = _column_codes(data.features), np.arange(len(data))
-    return _build_tree(data.features, data.targets, codes, rows, max_depth, min_samples_leaf)
+    return _value(_run_together([_one_tree(data, max_depth, min_samples_leaf)])[0])
 
 
 TreeArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
@@ -363,17 +459,23 @@ def fit_boosted(
     the data exactly or when the average loss reaches 0.5.
     """
     hyper = Hyperparameters(n_estimators, max_depth, min_samples_leaf, learning_rate)
+    return _value(_run_together([_boosting(data, rng, hyper)])[0])
+
+
+def _boosting(data: Dataset, rng: np.random.Generator, hyper: Hyperparameters) -> Steps:
+    """`fit_boosted` in steps: one tree per stage."""
     n = len(data)
     if n < 2:
         raise ValueError("boosting needs at least 2 rows")
     X = data.features
     y = data.targets
     sample_weight, codes = np.full(n, 1.0 / n), _column_codes(X)
+    learning_rate = hyper.learning_rate
     stages: list[BoostStage] = []
-    for _ in range(n_estimators):
+    for _ in range(hyper.n_estimators):
         sample_weight = sample_weight / sample_weight.sum()
         bootstrap = rng.choice(n, size=n, replace=True, p=sample_weight)
-        tree = _build_tree(X, y, codes, bootstrap, max_depth, min_samples_leaf)
+        tree = yield X, y, codes, bootstrap, hyper.max_depth, hyper.min_samples_leaf
         error_vect = np.abs(predict_tree_batch(tree, X) - y)
         error_max = error_vect.max()
         if error_max > 0:
@@ -502,15 +604,15 @@ def kfold_indices(n: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
 
 def _make_fitter(
     model_kind: str, hyper: Hyperparameters
-) -> Callable[[Dataset, np.random.Generator], Callable[[np.ndarray], np.ndarray]]:
+) -> Callable[[Dataset, np.random.Generator, np.ndarray], Steps]:
+    """Fit a model to a training set and predict held-out rows X, in steps."""
     if model_kind == "boosted":
-        def fit(train: Dataset, fold_rng: np.random.Generator):
-            model = fit_boosted(train, fold_rng, **asdict(hyper))
-            return lambda X: predict_boosted_batch(model, X)
+        def fit(train: Dataset, fold_rng: np.random.Generator, X: np.ndarray) -> Steps:
+            return predict_boosted_batch((yield from _boosting(train, fold_rng, hyper)), X)
     elif model_kind == "tree":
-        def fit(train: Dataset, fold_rng: np.random.Generator):
-            tree = fit_tree(train, hyper.max_depth, hyper.min_samples_leaf)
-            return lambda X: predict_tree_batch(tree, X)
+        def fit(train: Dataset, fold_rng: np.random.Generator, X: np.ndarray) -> Steps:
+            tree = yield from _one_tree(train, hyper.max_depth, hyper.min_samples_leaf)
+            return predict_tree_batch(tree, X)
     else:
         raise ValueError(f"unknown model kind {model_kind!r}")
     return fit
@@ -518,7 +620,7 @@ def _make_fitter(
 
 # ----- independent fits on every usable CPU -------------------------------------
 
-Fit = tuple[int, Callable[[], Any]]  # (training rows, a fit to call)
+Fit = tuple[int, Callable[[], Steps]]  # (training rows, a fit to start)
 
 
 def _processes(fits: int) -> int:
@@ -547,14 +649,24 @@ def _shares(rows: Sequence[int], processes: int) -> list[list[int]]:
 
 
 def _run_share(fits: Sequence[Fit], share: Sequence[int]) -> dict[int, Any]:
-    """Call a share's fits in order; the first that raises ends the share, its
+    """Run a share's fits in order, the next ones together while their training
+    rows sum to at most PREDICT_BLOCK_ROWS: a shared level pass pays NumPy's
+    fixed cost per depth once. The first fit that raises ends the share, its
     exception standing as its outcome."""
-    outcomes: dict[int, Any] = {}
+    groups: list[list[int]] = []
+    rows = 0
     for i in share:
-        try:
-            outcomes[i] = fits[i][1]()
-        except Exception as exc:
-            outcomes[i] = exc
+        if groups and rows + fits[i][0] <= PREDICT_BLOCK_ROWS:
+            groups[-1].append(i)
+            rows += fits[i][0]
+        else:
+            groups.append([i])
+            rows = fits[i][0]
+    outcomes: dict[int, Any] = {}
+    for group in groups:
+        grown = _run_together([fits[i][1]() for i in group])
+        outcomes.update(zip(group, grown))
+        if len(grown) < len(group) or isinstance(grown[-1], Exception):
             break
     return outcomes
 
@@ -636,16 +748,9 @@ def _fit_concurrently(fits: Sequence[Fit]) -> list[Any]:
     return [outcomes.get(i) for i in range(len(fits))]
 
 
-def _value(outcome: Any) -> Any:
-    """A fit's result; the exception it raised is raised here."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _fold_fits(
     data: Dataset, folds: list[np.ndarray], rng: np.random.Generator,
-    fit: Callable[[Dataset, np.random.Generator], Callable[[np.ndarray], np.ndarray]],
+    fit: Callable[[Dataset, np.random.Generator, np.ndarray], Steps],
 ) -> list[Fit]:
     """One fit per fold, each on its own seed: fit the other rows, predict the fold."""
     fold_seeds = rng.integers(0, 2**63, size=len(folds))
@@ -655,9 +760,8 @@ def _fold_fits(
         mask[fold] = False
         train_rows = np.flatnonzero(mask)
 
-        def predict_fold() -> np.ndarray:
-            predictor = fit(data.subset(train_rows), np.random.default_rng(seed))
-            return predictor(data.features[fold])
+        def predict_fold() -> Steps:
+            return fit(data.subset(train_rows), np.random.default_rng(seed), data.features[fold])
 
         return len(train_rows), predict_fold
 
@@ -713,22 +817,28 @@ def validate_and_fit(
     """
     hyper = hyper or Hyperparameters()
     fit, rng = _make_fitter("boosted", hyper), np.random.default_rng(seed)
-    final = (len(data), lambda: fit_boosted(data, np.random.default_rng(seed), **asdict(hyper)))
+
+    def model() -> Steps:
+        # The model is grown alone, by `fit_boosted`, so a traced run times its fit.
+        yield from ()
+        return fit_boosted(data, np.random.default_rng(seed), **asdict(hyper))
+
+    final = (len(data), model)
     if folds is not None:
         parts = kfold_indices(len(data), folds, rng)
-        *held_out, model = _fit_concurrently([*_fold_fits(data, parts, rng, fit), final])
-        return _pooled_r2(data, parts, held_out), _value(model)
+        *held_out, fitted = _fit_concurrently([*_fold_fits(data, parts, rng, fit), final])
+        return _pooled_r2(data, parts, held_out), _value(fitted)
     if train_fraction is not None:
         train, test = split_train_test(data, train_fraction, rng)
-        held_out, model = _fit_concurrently(
-            [(len(train), lambda: fit(train, rng)(test.features)), final])
+        held_out, fitted = _fit_concurrently(
+            [(len(train), lambda: fit(train, rng, test.features)), final])
         validation = ModelMetrics(
             r2=r2_score(_value(held_out), test.targets),
             n_samples=len(test),
             scheme=f"holdout split (train={len(train)}, test={len(test)})",
         )
-        return validation, _value(model)
-    return None, final[1]()
+        return validation, _value(fitted)
+    return None, fit_boosted(data, np.random.default_rng(seed), **asdict(hyper))
 
 
 def split_train_test(

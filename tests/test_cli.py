@@ -12,8 +12,8 @@ import pytest
 
 from heterotune import (
     AnnealParams, CampaignReport, MeasurementLogError, PccOracle, ReportFormatError,
-    SpaceDefinitionError, bundled_data_path, bundled_space, load_space, read_measurement_log,
-    run_aml, surrogate, write_measurement_log,
+    SpaceDefinitionError, bundled_data_path, bundled_space, dataset_from_log, load_space,
+    read_measurement_log, run_aml, surrogate, write_measurement_log,
 )
 from heterotune.cli import main
 
@@ -221,14 +221,14 @@ def test_train_exits_2_when_a_training_process_dies(capsys, tmp_path, monkeypatc
     log = tmp_path / "ida.csv"
     model = tmp_path / "model.json"
     run(capsys, "gen", "--space", "ida", "--oracle", "ida-pcc", "--out", str(log))
-    caller, fit = os.getpid(), surrogate.fit_boosted
+    caller, boosting = os.getpid(), surrogate._boosting
 
-    def fit_or_die(train, rng, **hyper):
+    def fit_or_die(train, rng, hyper):
         if os.getpid() != caller:
             os._exit(5)
-        return fit(train, rng, **hyper)
+        return (yield from boosting(train, rng, hyper))
 
-    monkeypatch.setattr(surrogate, "fit_boosted", fit_or_die)
+    monkeypatch.setattr(surrogate, "_boosting", fit_or_die)
     cpus(2)
     code, _, err = run(
         capsys,
@@ -258,8 +258,27 @@ def test_train_exits_3_naming_a_row_without_an_efficiency(capsys, tmp_path, edit
     assert len(read_measurement_log(str(bad), bundled_space("ida"))) == 101  # the log reads
     code, _, err = run(capsys, "train", "--space", "ida", "--log", str(bad), "--out", str(model))
     assert code == 3
-    assert "data error: measurement row 51 ({'CPU-W': 50, 'GPU-W': 50}): " + message in err
+    assert "data error: line 52: measurement row 51 ({'CPU-W': 50, 'GPU-W': 50}): " + message in err
     assert not model.exists()
+
+
+def test_train_names_the_log_line_of_a_row_without_an_efficiency(capsys, tmp_path):
+    # Blank lines are skipped, so the fifth row sits on line 9, not line 6.
+    log, bad, model = tmp_path / "ida.csv", tmp_path / "bad.csv", tmp_path / "model.json"
+    run(capsys, "gen", "--space", "ida", "--oracle", "ida-pcc", "--out", str(log))
+    lines = log.read_text().splitlines()
+    header, fields = lines[0].split(","), lines[5].split(",")
+    for column in ("cpu_energy_j", "acc_energy_j"):
+        fields[header.index(column)] = "0.0"
+    config = {"CPU-W": int(fields[0]), "GPU-W": int(fields[1])}
+    bad.write_text("\n".join([lines[0], "", "", "", *lines[1:5], ",".join(fields), *lines[6:]]) + "\n")
+    code, _, err = run(capsys, "train", "--space", "ida", "--log", str(bad), "--out", str(model))
+    assert code == 3
+    assert f"data error: line 9: measurement row 5 ({config!r}): zero total power" in err
+    assert not model.exists()
+    with pytest.raises(MeasurementLogError) as error:
+        dataset_from_log(str(bad), bundled_space("ida"))
+    assert error.value.line_number == 9
 
 
 def test_gen_sampled(capsys, tmp_path):

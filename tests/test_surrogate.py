@@ -29,6 +29,7 @@ from heterotune import (
     kfold_cv,
     kfold_indices,
     load_model,
+    make_oracle,
     model_from_dict,
     model_to_json,
     predict_boosted,
@@ -39,7 +40,7 @@ from heterotune import (
     split_train_test,
 )
 from heterotune import surrogate
-from heterotune.surrogate import BoostStage, BoostedModel, RegressionTree, _build_tree, _column_codes
+from heterotune.surrogate import BoostStage, BoostedModel, RegressionTree, _build_trees, _column_codes
 
 
 def dataset(rows, feature_names=None):
@@ -183,16 +184,21 @@ def test_level_wise_tree_matches_recursive_reference(emil_data, max_depth, min_s
     # Emil bootstraps as boosting draws them: duplicate rows, passed by index into
     # the full matrix, which the reference sees with unit weights. Duplicates tie
     # in x and y. Emil's CPU-W and ACC-W = 100 - CPU-W give splits of equal SSE
-    # up to rounding, so summing in another order shows.
+    # up to rounding, so summing in another order shows. The four trees are grown
+    # alone and then together, as one level pass grows an ensemble group's stage.
     _, data = emil_data
     X, y = data.features, data.targets
     n = len(y)
     rng = np.random.default_rng(100 + min_samples_leaf)
-    for _ in range(4):
-        rows = rng.choice(n, size=n)
-        tree = _build_tree(X, y, _column_codes(X), rows, max_depth, min_samples_leaf)
+    asks = [(X, y, _column_codes(X), rng.choice(n, size=n), max_depth, min_samples_leaf)
+            for _ in range(4)]
+    together = _build_trees(asks)
+    for ask, grown in zip(asks, together):
+        rows = ask[3]
+        [tree] = _build_trees([ask])
         assert_same_tree(tree, reference_tree._build_tree(
             X[rows], y[rows], np.ones(n), max_depth, min_samples_leaf))
+        assert_same_tree(grown, tree)
     X = rng.uniform(-5.0, 5.0, size=(300, 4))
     y = X[:, 0] ** 2 - 3.0 * X[:, 3] + np.sin(X).sum(axis=1)
     tree = fit_tree(Dataset(("a", "b", "c", "d"), X, y), max_depth, min_samples_leaf)
@@ -292,20 +298,38 @@ def test_tree_matches_recursive_reference_where_sses_overflow(max_depth, min_sam
 
 def test_level_splits_searches_each_node_alone():
     # Node 0's SSEs are NaN; node 1, searched beside it, splits as it does alone.
+    # Rows come node-major and y-ascending within each node, with codes of shape
+    # (features, rows), as tree growth passes them.
     rng = np.random.default_rng(5)
     X = rng.integers(0, 5, size=(40, 2)).astype(float)
     yc = np.concatenate([rng.choice([-1e200, 1e200], size=20), rng.normal(size=20)])
     yc[20:] -= yc[20:].mean()
-    codes, nid = _column_codes(X), np.repeat([0, 1], 20)
-    rows = np.arange(40)
+    nid = np.repeat([0, 1], 20)
+    rows = np.lexsort((yc, nid))
+    codes, yc = _column_codes(X)[:, rows], yc[rows]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         feature, threshold = surrogate._level_splits(
             X, rows, codes, yc, nid, np.array([20, 20]), 2)
     alone = surrogate._level_splits(
-        X, rows[20:], codes[20:], yc[20:], np.zeros(20, dtype=np.intp), np.array([20]), 2)
+        X, rows[20:], codes[:, 20:], yc[20:], np.zeros(20, dtype=np.intp), np.array([20]), 2)
     assert (feature[0], threshold[0]) == (-1, -math.inf)
     assert feature[1] >= 0 and (feature[1], threshold[1]) == (alone[0][0], alone[1][0])
+
+
+def test_distinct_targets_that_center_to_equal_residuals_grow_the_reference_tree():
+    # In a node whose mean is about 1e17, y = 1.0 and y = 1.5 both center to the
+    # same yc: the y-ascending row order and the reference's (x, yc, w) order
+    # then differ among them, but they add the same values to every sum.
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 4, size=(120, 2)).astype(float)
+    y = rng.choice([1.0, 1.5, 2.5e17, 3e17], size=120)
+    center = math.fsum(y) / len(y)
+    assert 1e17 < center < 2e17 and (1.0 - center) == (1.5 - center)
+    for max_depth, min_samples_leaf in ((None, 1), (3, 2)):
+        tree = fit_tree(Dataset(("a", "b"), X, y), max_depth, min_samples_leaf)
+        assert_same_tree(tree, reference_tree._build_tree(
+            X, y, np.ones(len(y)), max_depth, min_samples_leaf))
 
 
 def test_min_samples_leaf_respected():
@@ -734,6 +758,68 @@ def test_kfold_same_bits_on_any_cpu_count(cpus):
     assert_no_children()
 
 
+def group_sizes(monkeypatch):
+    """The number of fits in each `_run_together` call this process makes."""
+    sizes, run_together = [], surrogate._run_together
+
+    def counted(fits):
+        sizes.append(len(fits))
+        return run_together(fits)
+
+    monkeypatch.setattr(surrogate, "_run_together", counted)
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def ida_data():
+    ida = bundled_space("ida")
+    return dataset_from_measurements(ida, gen_dataset(ida, make_oracle("ida-pcc")))
+
+
+@pytest.mark.parametrize("hyper", [Hyperparameters(n_estimators=6, max_depth=None, min_samples_leaf=1),
+                                   Hyperparameters(n_estimators=6)], ids=["full-depth", "default-tree"])
+@pytest.mark.parametrize("space", ["emil", "ida"])
+def test_ensembles_grown_together_match_ensembles_grown_alone(
+        cpus, monkeypatch, emil_data, ida_data, space, hyper):
+    # With one CPU the fits of a call share one process and grow together; with
+    # a CPU per fit, each grows alone in its own. The bits must not tell them apart.
+    data = emil_data[1] if space == "emil" else ida_data
+    sizes = group_sizes(monkeypatch)
+    for folds, fraction in ((2, None), (3, None), (None, 0.7)):
+        cpus((folds or 1) + 1)
+        apart = surrogate.validate_and_fit(data, 7, hyper=hyper, folds=folds, train_fraction=fraction)
+        sizes.clear()
+        cpus(1)
+        together = surrogate.validate_and_fit(data, 7, hyper=hyper, folds=folds, train_fraction=fraction)
+        assert max(sizes) == (folds or 1) + 1  # the held-out fits and the model's place
+        assert together[0].r2.hex() == apart[0].r2.hex()
+        assert model_to_json(together[1]) == model_to_json(apart[1])
+    for k in (2, 3):
+        cpus(k)
+        apart = kfold_cv(data, k, np.random.default_rng(k), model_kind="tree", hyper=hyper)
+        sizes.clear()
+        cpus(1)
+        together = kfold_cv(data, k, np.random.default_rng(k), model_kind="tree", hyper=hyper)
+        assert sizes == [k]
+        assert together.r2.hex() == apart.r2.hex()
+    assert_no_children()
+
+
+@pytest.mark.parametrize("extra, groups", [(0, [2]), (1, [1, 1])], ids=["at-bound", "over-bound"])
+def test_fits_grow_together_while_their_rows_fit_the_bound(cpus, monkeypatch, extra, groups):
+    # Two folds of n rows train on n rows in all: together at the bound, apart above it.
+    data = random_dataset(np.random.default_rng(30), n=surrogate.PREDICT_BLOCK_ROWS + extra, d=3)
+    hyper = Hyperparameters(n_estimators=2, max_depth=3)
+    cpus(2)
+    apart = kfold_cv(data, 2, np.random.default_rng(1), hyper=hyper)
+    sizes = group_sizes(monkeypatch)
+    cpus(1)
+    together = kfold_cv(data, 2, np.random.default_rng(1), hyper=hyper)
+    assert sizes == groups
+    assert together.r2.hex() == apart.r2.hex()
+    assert_no_children()
+
+
 def refuse_fork():
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
@@ -763,18 +849,19 @@ def test_kfold_falls_back_to_the_calling_process(cpus, monkeypatch, why):
 
 
 def failing_folds(monkeypatch, data, folds, failing, raised):
-    """Make the boosted fit of each fold in `failing` raise, noting the pid that raised."""
-    fit = surrogate.fit_boosted
+    """Make the boosted fit of each fold in `failing` raise, noting the pid that raised.
+    Folds fit through `_boosting`, the steps of `fit_boosted`."""
+    boosting = surrogate._boosting
 
-    def fit_or_fail(train, rng, **hyper):
+    def fit_or_fail(train, rng, hyper):
         for number in failing:
             if data.targets[folds[number][0]] not in train.targets:
                 with open(raised, "a", encoding="utf-8") as handle:
                     handle.write(f"{os.getpid()}\n")
                 raise FloatingPointError(f"fold {number} failed")
-        return fit(train, rng, **hyper)
+        return (yield from boosting(train, rng, hyper))
 
-    monkeypatch.setattr(surrogate, "fit_boosted", fit_or_fail)
+    monkeypatch.setattr(surrogate, "_boosting", fit_or_fail)
 
 
 @pytest.mark.parametrize("failing", [(0, 3), (1, 2)])
@@ -803,14 +890,14 @@ def test_fold_error_from_a_child_is_the_serial_error(cpus, monkeypatch, tmp_path
 ], ids=["exit", "kill"])
 def test_child_that_dies_raises(cpus, monkeypatch, deadline, how, message):
     data = random_dataset(np.random.default_rng(23), n=40, d=2)
-    caller, fit = os.getpid(), surrogate.fit_boosted
+    caller, boosting = os.getpid(), surrogate._boosting
 
-    def fit_or_die(train, rng, **hyper):
+    def fit_or_die(train, rng, hyper):
         if os.getpid() != caller:
             how()
-        return fit(train, rng, **hyper)
+        return (yield from boosting(train, rng, hyper))
 
-    monkeypatch.setattr(surrogate, "fit_boosted", fit_or_die)
+    monkeypatch.setattr(surrogate, "_boosting", fit_or_die)
     cpus(2)
     with pytest.raises(ChildProcessError, match=message):
         kfold_cv(data, 4, np.random.default_rng(5), hyper=Hyperparameters(n_estimators=3))
@@ -819,14 +906,15 @@ def test_child_that_dies_raises(cpus, monkeypatch, deadline, how, message):
 
 def test_interrupt_stops_and_reaps_the_children(cpus, monkeypatch, deadline):
     data = random_dataset(np.random.default_rng(24), n=40, d=2)
-    caller = os.getpid()
+    caller, boosting = os.getpid(), surrogate._boosting
 
-    def interrupt_or_stall(train, rng, **hyper):
+    def interrupt_or_stall(train, rng, hyper):
         if os.getpid() == caller:
             raise KeyboardInterrupt
         time.sleep(60)
+        return (yield from boosting(train, rng, hyper))
 
-    monkeypatch.setattr(surrogate, "fit_boosted", interrupt_or_stall)
+    monkeypatch.setattr(surrogate, "_boosting", interrupt_or_stall)
     cpus(3)
     started = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
