@@ -50,8 +50,8 @@ class AnnealParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.initial_temperature > TEMPERATURE_FLOOR:
-            raise ValueError("initial_temperature must exceed 1")
+        if not TEMPERATURE_FLOOR < self.initial_temperature < math.inf:
+            raise ValueError("initial_temperature must exceed 1 and be finite")
         if not 0 < self.cooling_factor < 1:
             raise ValueError("cooling_factor must be in (0, 1)")
         if self.evaluation_budget is not None and self.evaluation_budget < 1:
@@ -153,8 +153,8 @@ def derived_cooling_factor(initial_temperature: float, budget: int) -> float:
     """Cooling factor whose schedule lasts exactly `budget` steps."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if not initial_temperature > TEMPERATURE_FLOOR:
-        raise ValueError("initial_temperature must exceed 1")
+    if not TEMPERATURE_FLOOR < initial_temperature < math.inf:
+        raise ValueError("initial_temperature must exceed 1 and be finite")
     return initial_temperature ** (-1.0 / budget)
 
 

@@ -322,18 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=1000.0,
         help="starting temperature (default 1000)",
     )
-    p.add_argument(
+    # A budget derives the cooling factor, so at most one of the three is given.
+    group = p.add_mutually_exclusive_group()
+    group.add_argument(
         "--cooling-factor",
         type=float,
         default=0.95,
         help="geometric cooling factor in (0, 1) (default 0.95)",
     )
-    group = p.add_mutually_exclusive_group()
     group.add_argument(
         "--budget",
         type=int,
         default=None,
-        help="cap on distinct evaluations; rescales the cooling schedule",
+        help="cap on distinct evaluations; derives the cooling factor",
     )
     group.add_argument(
         "--budget-fraction",

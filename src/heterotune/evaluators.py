@@ -212,12 +212,6 @@ def _rugged_factors(seed: int, config: Mapping[str, Any], amplitude: float) -> t
     return factors[0], factors[1]
 
 
-def _exact_in_float64(value: Any) -> bool:
-    """A float, or an int so small that NumPy's float64 arithmetic on it
-    rounds as Python's int and float arithmetic does."""
-    return type(value) is float or (type(value) is int and abs(value) < 2**40)
-
-
 def _require_split(config: Mapping[str, Any], name: str) -> int:
     value = config.get(name)
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 100:
@@ -313,7 +307,8 @@ class PatternMatchOracle(Evaluator):
     and affinity; both units report the wall duration of the hybrid run as
     their time, while energy accrues only over a unit's own busy interval.
     A seeded hash jitters the busy times, which roughens the efficiency
-    landscape without breaking determinism.
+    landscape without breaking determinism. Every setting but the seed is
+    stored as a Python float, so `measure` rounds as NumPy's float64 does.
     """
 
     name = "emil-pm"
@@ -338,9 +333,9 @@ class PatternMatchOracle(Evaluator):
             raise ValueError("power draws must be positive")
         if not 0 <= rugged_amplitude < 1:
             raise ValueError("rugged_amplitude must be in [0, 1)")
-        self.input_mb = input_mb
-        self.cpu_base_rate_mb_s = cpu_base_rate_mb_s
-        self.acc_base_rate_mb_s = acc_base_rate_mb_s
+        self.input_mb = float(input_mb)
+        self.cpu_base_rate_mb_s = float(cpu_base_rate_mb_s)
+        self.acc_base_rate_mb_s = float(acc_base_rate_mb_s)
         self.cpu_thread_scale = dict(
             cpu_thread_scale if cpu_thread_scale is not None
             else {12: 0.55, 24: 1.00, 36: 0.88, 48: 0.78}
@@ -362,10 +357,11 @@ class PatternMatchOracle(Evaluator):
             table = getattr(self, table_name)
             if not table or any(v <= 0 for v in table.values()):
                 raise ValueError(f"{table_name} must map to positive factors")
-        self.cpu_power_w = cpu_power_w
-        self.acc_power_w = acc_power_w
-        self.rugged_amplitude = rugged_amplitude
-        self.seed = seed
+            table.update({key: float(factor) for key, factor in table.items()})
+        self.cpu_power_w = float(cpu_power_w)
+        self.acc_power_w = float(acc_power_w)
+        self.rugged_amplitude = float(rugged_amplitude)
+        self.seed = seed  # kept as given: it is hashed as text
 
     def _lookup(self, table: Mapping[Any, float], value: Any, label: str) -> float:
         try:
@@ -426,11 +422,6 @@ class PatternMatchOracle(Evaluator):
             return None
         tables = (self.cpu_thread_scale, self.cpu_affinity_scale,
                   self.acc_thread_scale, self.acc_affinity_scale)
-        numbers = [self.input_mb, self.cpu_base_rate_mb_s, self.acc_base_rate_mb_s,
-                   self.cpu_power_w, self.acc_power_w, self.rugged_amplitude]
-        numbers += [factor for table in tables for factor in table.values()]
-        if not all(map(_exact_in_float64, numbers)):
-            return None
         factors = []
         try:
             for table, name in zip(tables, ("CPU-T", "CPU-A", "ACC-T", "ACC-A")):
@@ -531,8 +522,8 @@ class CommandEvaluator(Evaluator):
             raise ValueError(
                 f"template references unknown parameter(s): {', '.join(unknown)}"
             )
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if not 0 < timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be positive and finite, got {timeout_s}")
         if log_path:
             log_has_header(log_path)  # a log that cannot be appended to fails before any command runs
         self.template = template

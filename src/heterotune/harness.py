@@ -432,7 +432,7 @@ def train_model(
     the persisted bytes depend only on the log and the seed. The fits run at
     the same time on the usable CPUs (see `validate_and_fit`).
     """
-    scheme, argument = parse_validation_spec(validation)
+    parsed = parse_validation_spec(validation)
     rows, lines = read_measurement_lines(log_path, space)
     if len(rows) < MIN_TRAINING_ROWS:  # a data problem in the log, not a usage error
         raise MeasurementLogError(
@@ -442,11 +442,7 @@ def train_model(
         )
     data = dataset_from_measurements(space, rows, lines)
 
-    outcome, model = validate_and_fit(
-        data, seed, hyper=hyper,
-        folds=argument if scheme == "kfold" else None,
-        train_fraction=argument if scheme == "split" else None,
-    )
+    outcome, model = validate_and_fit(data, seed, hyper=hyper, validation=parsed)
     if model_path is not None:
         save_model(model, model_path)
     return TrainingResult(model=model, validation=outcome, n_rows=len(rows), seed=seed)

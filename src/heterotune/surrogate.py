@@ -114,7 +114,8 @@ class RegressionTree:
 
     A split sends rows with x[feature] < threshold left; its value is NaN. A
     leaf has feature -1, threshold -inf and itself as both children. The
-    arrays are tuples of Python numbers, which one-row prediction indexes fast.
+    arrays are tuples of Python numbers, which one-row prediction indexes fast;
+    batch prediction reads NumPy copies of them, built with the tree.
     """
 
     feature: tuple[int, ...]
@@ -125,15 +126,23 @@ class RegressionTree:
     n_features: int
 
     def __post_init__(self) -> None:
-        # The depth is walked once per tree. It is not a field, so equality and
-        # the hash stay on the arrays; set here, on every tree alike, it leaves
-        # attribute reads as fast as on the fields alone.
+        # The depth and the arrays `_descend` reads are built once per tree. They
+        # are not fields, so equality, the hash and the repr stay on the tuples;
+        # set here, on every tree alike, they leave attribute reads as fast as on
+        # the fields alone.
         # Preorder puts every child after its parent, so one forward pass works.
         depths = [0] * len(self.feature)
         for node, f in enumerate(self.feature):
             if f >= 0:
                 depths[self.left[node]] = depths[self.right[node]] = depths[node] + 1
         object.__setattr__(self, "_depth", max(depths))
+        # children[2 * node + 1] is taken where x < threshold, so NaN goes right.
+        object.__setattr__(self, "_arrays", (
+            np.maximum(np.array(self.feature, dtype=np.intp), 0),  # leaves read column 0
+            np.array(self.threshold),
+            np.array([self.right, self.left], dtype=np.intp).T.ravel(),
+            np.array(self.value),
+        ))
 
     def depth(self) -> int:
         return self._depth
@@ -162,8 +171,7 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
 
 def _level_splits(
     X: np.ndarray, r: np.ndarray, codes: np.ndarray, yc: np.ndarray,
-    nid: np.ndarray, counts: np.ndarray, min_samples_leaf: int,
-    work: np.ndarray | None = None,
+    nid: np.ndarray, counts: np.ndarray, min_samples_leaf: int, work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best (feature, threshold) of each node of a depth, or (-1, -inf) where none.
 
@@ -173,7 +181,7 @@ def _level_splits(
     order, sums from its first row, then the lowest SSE, feature and midpoint
     threshold. The SSE is taken only at candidate cuts, where the code changes
     and both sides keep min_samples_leaf rows. The running sums go to `work`,
-    of at least 4 * features * rows floats, where given.
+    of at least 4 * features * rows floats.
     """
     d, n, nodes = codes.shape[0], len(r), len(counts)
     starts = np.cumsum(counts) - counts
@@ -206,7 +214,7 @@ def _level_splits(
     base[by_class] = ends - padded
     # Positions past a node's last row repeat a later row and are never read.
     at = np.repeat(starts[by_class] - base[by_class], padded) + np.arange(P)
-    buf = (np.empty(2 * d * P) if work is None else work[:2 * d * P]).reshape(2, d, P)
+    buf = work[:2 * d * P].reshape(2, d, P)
     yc.take(perm).take(at, axis=1, mode="clip", out=buf[0])
     with np.errstate(over="ignore"):  # an infinite sum of squares never wins below
         np.multiply(buf[0], buf[0], out=buf[1])
@@ -328,8 +336,8 @@ def _build_trees(asks: Sequence[tuple]) -> list[RegressionTree]:
 
 
 def _run_together(fits: Sequence[Steps]) -> list[Any]:
-    """Run fits stage by stage, growing the trees that a stage asks for in one
-    level pass per (max_depth, min_samples_leaf).
+    """Run fits of one max_depth and min_samples_leaf stage by stage, growing
+    the trees that a stage asks for in one level pass.
 
     The outcomes of the fits up to the first that raised: each one's result, or
     the exception it raised; an error in a shared pass is that of its first fit.
@@ -339,21 +347,19 @@ def _run_together(fits: Sequence[Steps]) -> list[Any]:
     outcomes: dict[int, Any] = {}
     sent: dict[int, Any] = dict.fromkeys(range(len(fits)))
     while sent:
-        passes: dict[tuple, dict[int, tuple]] = {}
-        for i in sorted(sent):
+        asked: dict[int, tuple] = {}
+        for i, tree in sent.items():
             try:
-                ask = fits[i].send(sent[i])
+                asked[i] = fits[i].send(tree)
             except StopIteration as stop:
                 outcomes[i] = stop.value
-                continue
             except Exception as exc:
                 outcomes[i] = exc
                 break  # a serial run never gets to the fits after it
-            passes.setdefault(ask[4:], {})[i] = ask
         sent = {}
-        for asked in passes.values():
+        if asked:
             try:
-                sent.update(zip(asked, _build_trees(list(asked.values()))))
+                sent = dict(zip(asked, _build_trees(list(asked.values()))))
             except Exception as exc:
                 outcomes[min(asked)] = exc
     failed = min((i for i, outcome in outcomes.items() if isinstance(outcome, Exception)),
@@ -382,26 +388,15 @@ def fit_tree(
     return _value(_run_together([_one_tree(data, max_depth, min_samples_leaf)])[0])
 
 
-TreeArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
-
-
-def _tree_arrays(tree: RegressionTree) -> TreeArrays:
-    """A tree as the NumPy arrays that `_descend` reads, and its depth."""
-    feature = np.maximum(np.array(tree.feature, dtype=np.intp), 0)  # leaves read column 0
-    # children[2 * node + 1] is taken where x < threshold, so NaN goes right.
-    children = np.array([tree.right, tree.left], dtype=np.intp).T.ravel()
-    return feature, np.array(tree.threshold), children, np.array(tree.value), tree.depth()
-
-
-def _descend(arrays: TreeArrays, X: np.ndarray, row_start: np.ndarray) -> np.ndarray:
+def _descend(tree: RegressionTree, X: np.ndarray, row_start: np.ndarray) -> np.ndarray:
     """Each row's leaf value, descending level by level; row_start is
     np.arange(len(X)) * X.shape[1], as X.take indexes the flattened rows.
 
     A row stays on its leaf: x < -inf is false and a leaf's right child is itself.
     """
-    feature, threshold, children, value, depth = arrays
+    feature, threshold, children, value = tree._arrays
     node = np.zeros(X.shape[0], dtype=np.intp)
-    for _ in range(depth):
+    for _ in range(tree._depth):
         goes_left = X.take(feature.take(node) + row_start) < threshold.take(node)
         node = children.take(2 * node + goes_left)
     return value.take(node)
@@ -412,7 +407,7 @@ def predict_tree_batch(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.n_features:
         raise ValueError(f"expected an (n, {tree.n_features}) feature matrix")
-    return _descend(_tree_arrays(tree), X, np.arange(X.shape[0]) * X.shape[1])
+    return _descend(tree, X, np.arange(X.shape[0]) * X.shape[1])
 
 
 # ----- boosted ensemble -----------------------------------------------------
@@ -555,17 +550,16 @@ def predict_boosted_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise ValueError(f"expected an (n, {len(model.feature_names)}) feature matrix")
-    trees = [_tree_arrays(s.tree) for s in model.stages]
     weights = np.array([s.weight for s in model.stages])
     n, block = X.shape[0], PREDICT_BLOCK_ROWS
     row_start = np.arange(min(n, block)) * X.shape[1]
-    stage_major = np.empty((len(trees), min(n, block)))  # a tree's block of values is one row
+    stage_major = np.empty((len(model.stages), min(n, block)))  # a tree's block of values is one row
     result = np.empty(n)
     for first in range(0, n, block):
         rows = np.ascontiguousarray(X[first:first + block])  # X.take reads rows flat
         m = rows.shape[0]
-        for stage, arrays in enumerate(trees):
-            stage_major[stage, :m] = _descend(arrays, rows, row_start[:m])
+        for stage, s in enumerate(model.stages):
+            stage_major[stage, :m] = _descend(s.tree, rows, row_start[:m])
         result[first:first + m] = _weighted_median_rows(stage_major[:, :m].T, weights)
     return result
 
@@ -804,17 +798,17 @@ def validate_and_fit(
     seed: int,
     *,
     hyper: Hyperparameters | None = None,
-    folds: int | None = None,
-    train_fraction: float | None = None,
+    validation: tuple[str, Any] = ("none", None),
 ) -> tuple[ModelMetrics | None, BoostedModel]:
-    """Validate by k-fold CV (`folds`), a holdout split (`train_fraction`) or not
-    at all, and fit the boosted model on every row; all fits run at once on the
-    usable CPUs.
+    """Validate as `harness.parse_validation_spec` reads it: ("kfold", K) by k-fold
+    CV, ("split", FRACTION) by a holdout split, ("none", None) not at all; then
+    fit the boosted model on every row. All fits run at once on the usable CPUs.
 
     Validation draws from default_rng(seed) and the model from a fresh
     default_rng(seed), so its bytes depend only on the data and the seed. Errors
     come in the order of a serial run: validation fits, scoring, then the model.
     """
+    scheme, argument = validation
     hyper = hyper or Hyperparameters()
     fit, rng = _make_fitter("boosted", hyper), np.random.default_rng(seed)
 
@@ -824,21 +818,22 @@ def validate_and_fit(
         return fit_boosted(data, np.random.default_rng(seed), **asdict(hyper))
 
     final = (len(data), model)
-    if folds is not None:
-        parts = kfold_indices(len(data), folds, rng)
+    if scheme == "kfold":
+        parts = kfold_indices(len(data), argument, rng)
         *held_out, fitted = _fit_concurrently([*_fold_fits(data, parts, rng, fit), final])
         return _pooled_r2(data, parts, held_out), _value(fitted)
-    if train_fraction is not None:
-        train, test = split_train_test(data, train_fraction, rng)
+    if scheme == "split":
+        train, test = split_train_test(data, argument, rng)
         held_out, fitted = _fit_concurrently(
             [(len(train), lambda: fit(train, rng, test.features)), final])
-        validation = ModelMetrics(
+        return ModelMetrics(
             r2=r2_score(_value(held_out), test.targets),
             n_samples=len(test),
             scheme=f"holdout split (train={len(train)}, test={len(test)})",
-        )
-        return validation, _value(fitted)
-    return None, fit_boosted(data, np.random.default_rng(seed), **asdict(hyper))
+        ), _value(fitted)
+    if scheme == "none":
+        return None, fit_boosted(data, np.random.default_rng(seed), **asdict(hyper))
+    raise ValueError(f"unknown validation scheme {scheme!r}; expected kfold, split or none")
 
 
 def split_train_test(

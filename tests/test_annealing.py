@@ -155,6 +155,10 @@ def test_params_validation():
         AnnealParams(cooling_factor=1.5)
     with pytest.raises(ValueError):
         AnnealParams(evaluation_budget=0)
+    with pytest.raises(ValueError, match="initial_temperature must exceed 1 and be finite"):
+        AnnealParams(initial_temperature=math.inf)
+    with pytest.raises(ValueError, match="initial_temperature must exceed 1 and be finite"):
+        derived_cooling_factor(math.inf, 5)
 
 
 def test_effective_cooling_factor_prefers_budget():

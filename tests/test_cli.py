@@ -159,6 +159,48 @@ def test_aml_budget_flags_mutually_exclusive(capsys):
     assert "not allowed with" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", [["--budget", "20"], ["--budget-fraction", "0.2"]],
+                         ids=["budget", "budget-fraction"])
+def test_aml_cooling_factor_excludes_the_budget_flags(capsys, budget):
+    # A budget derives the cooling factor, so a given one would go unused.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["aml", "--space", "ida", "--eval", REPLAY, "--cooling-factor", "0.5", *budget])
+    assert excinfo.value.code == 1
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def counted_command(tmp_path):
+    """An ida measurement command that notes each run in calls.txt: its --eval
+    spec, and the path of calls.txt."""
+    script, calls = tmp_path / "rig.py", tmp_path / "calls.txt"
+    script.write_text(
+        "import sys\nw = int(sys.argv[1])\nopen(sys.argv[2], 'a').write(f'{w}\\n')\n"
+        "print(f'{w},{100 - w},100.0,1.0,1.0,1.0,1.0,{float(w)},{100.0 - w}')\n"
+    )
+    return f'cmd:"{sys.executable}" "{script}" {{CPU-W}} "{calls}"', calls
+
+
+def test_aml_rejects_an_infinite_initial_temperature_before_any_command(capsys, tmp_path):
+    spec, calls = counted_command(tmp_path)
+    log = tmp_path / "log.csv"
+    code, _, err = run(
+        capsys, "aml", "--space", "ida", "--eval", spec, "--cmd-log", str(log),
+        "--initial-temperature", "inf", "--budget", "5",
+    )
+    assert code == 1
+    assert "initial_temperature must exceed 1 and be finite" in err
+    assert not calls.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf"])
+def test_cmd_timeout_must_be_positive_and_finite(capsys, tmp_path, timeout):
+    spec, calls = counted_command(tmp_path)
+    code, _, err = run(capsys, "em", "--space", "ida", "--eval", spec, "--cmd-timeout", timeout)
+    assert code == 1
+    assert "timeout_s must be positive and finite" in err
+    assert not calls.exists()
+
+
 # ----- gen / train / predict pipeline ------------------------------------------------
 
 
@@ -395,16 +437,11 @@ def test_exit_2_on_command_failure(capsys, tmp_path):
 
 
 def test_exit_3_on_command_log_that_is_not_utf8(capsys, tmp_path):
-    script, calls, log = tmp_path / "rig.py", tmp_path / "calls.txt", tmp_path / "bad.csv"
-    script.write_text(
-        "import sys\nw = int(sys.argv[1])\nopen(sys.argv[2], 'a').write(f'{w}\\n')\n"
-        "print(f'{w},{100 - w},100.0,1.0,1.0,1.0,1.0,{float(w)},{100.0 - w}')\n"
-    )
+    (spec, calls), log = counted_command(tmp_path), tmp_path / "bad.csv"
     log.write_bytes(b"\xff\xfe")
     code, _, err = run(
         capsys,
-        "aml", "--space", "ida", "--eval", f'cmd:"{sys.executable}" "{script}" {{CPU-W}} "{calls}"',
-        "--cmd-log", str(log), "--budget", "3",
+        "aml", "--space", "ida", "--eval", spec, "--cmd-log", str(log), "--budget", "3",
     )
     assert code == 3
     assert "data error" in err and "can't decode" in err

@@ -415,8 +415,14 @@ def unreachable(*args):
 @pytest.mark.parametrize(
     "overrides",
     [{}, {"rugged_amplitude": 0}, {"seed": 7},
-     {"cpu_thread_scale": {12: 0.61, 24: 0.97, 36: 1.0, 48: 0.83}}],
-    ids=["defaults", "smooth", "seed-7", "cpu-thread-table"],
+     {"cpu_thread_scale": {12: 0.61, 24: 0.97, 36: 1.0, 48: 0.83}},
+     # Settings that Python and float64 arithmetic would round apart, were
+     # they not stored as floats.
+     {"input_mb": 2**41},
+     {"input_mb": np.float32(3170.1), "cpu_base_rate_mb_s": np.float64(5200.0),
+      "acc_power_w": np.int64(300), "rugged_amplitude": np.float32(0.03),
+      "acc_thread_scale": {60: np.float32(0.4), 120: np.float64(0.72), 180: 0.92, 240: 1}}],
+    ids=["defaults", "smooth", "seed-7", "cpu-thread-table", "input-2**41", "numpy-scalars"],
 )
 def test_pm_evaluate_many_is_evaluate_bit_for_bit(emil, overrides, monkeypatch):
     oracle = PatternMatchOracle(**overrides)
@@ -590,6 +596,12 @@ def test_command_nonzero_exit(ida, tmp_path):
     with pytest.raises(CommandExecutionError) as excinfo:
         evaluator.evaluate(ida.make_config({"CPU-W": 5}))
     assert excinfo.value.returncode == 3
+
+
+@pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0])
+def test_command_timeout_must_be_positive_and_finite(ida, timeout):
+    with pytest.raises(ValueError, match="timeout_s must be positive and finite"):
+        CommandEvaluator("prog {CPU-W}", ida, timeout_s=timeout)
 
 
 def test_command_timeout(ida, tmp_path):

@@ -270,7 +270,8 @@ def test_sse_that_overflows_to_minus_inf_never_wins(scale):
         overflows = np.isinf(np.float64(30 * scale) ** 2)
     assert overflows == (scale > 1) and math.isfinite(yc @ yc)
     feature, threshold = surrogate._level_splits(
-        X, np.arange(40), _column_codes(X), yc, np.zeros(40, dtype=np.intp), np.array([40]), 1)
+        X, np.arange(40), _column_codes(X), yc, np.zeros(40, dtype=np.intp), np.array([40]), 1,
+        np.empty(4 * 2 * 40))
     assert (feature[0], threshold[0]) == (1, 0.5)
 
 
@@ -310,9 +311,10 @@ def test_level_splits_searches_each_node_alone():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         feature, threshold = surrogate._level_splits(
-            X, rows, codes, yc, nid, np.array([20, 20]), 2)
+            X, rows, codes, yc, nid, np.array([20, 20]), 2, np.empty(4 * 2 * 40))
     alone = surrogate._level_splits(
-        X, rows[20:], codes[:, 20:], yc[20:], np.zeros(20, dtype=np.intp), np.array([20]), 2)
+        X, rows[20:], codes[:, 20:], yc[20:], np.zeros(20, dtype=np.intp), np.array([20]), 2,
+        np.empty(4 * 2 * 20))
     assert (feature[0], threshold[0]) == (-1, -math.inf)
     assert feature[1] >= 0 and (feature[1], threshold[1]) == (alone[0][0], alone[1][0])
 
@@ -785,13 +787,14 @@ def test_ensembles_grown_together_match_ensembles_grown_alone(
     # a CPU per fit, each grows alone in its own. The bits must not tell them apart.
     data = emil_data[1] if space == "emil" else ida_data
     sizes = group_sizes(monkeypatch)
-    for folds, fraction in ((2, None), (3, None), (None, 0.7)):
-        cpus((folds or 1) + 1)
-        apart = surrogate.validate_and_fit(data, 7, hyper=hyper, folds=folds, train_fraction=fraction)
+    for validation in (("kfold", 2), ("kfold", 3), ("split", 0.7)):
+        held_out = validation[1] if validation[0] == "kfold" else 1
+        cpus(held_out + 1)
+        apart = surrogate.validate_and_fit(data, 7, hyper=hyper, validation=validation)
         sizes.clear()
         cpus(1)
-        together = surrogate.validate_and_fit(data, 7, hyper=hyper, folds=folds, train_fraction=fraction)
-        assert max(sizes) == (folds or 1) + 1  # the held-out fits and the model's place
+        together = surrogate.validate_and_fit(data, 7, hyper=hyper, validation=validation)
+        assert max(sizes) == held_out + 1  # the held-out fits and the model's place
         assert together[0].r2.hex() == apart[0].r2.hex()
         assert model_to_json(together[1]) == model_to_json(apart[1])
     for k in (2, 3):
@@ -803,6 +806,12 @@ def test_ensembles_grown_together_match_ensembles_grown_alone(
         assert sizes == [k]
         assert together.r2.hex() == apart.r2.hex()
     assert_no_children()
+
+
+def test_validate_and_fit_rejects_an_unknown_scheme():
+    data = random_dataset(np.random.default_rng(31), n=40, d=2)
+    with pytest.raises(ValueError, match="unknown validation scheme 'loo'"):
+        surrogate.validate_and_fit(data, 0, validation=("loo", 5))
 
 
 @pytest.mark.parametrize("extra, groups", [(0, [2]), (1, [1, 1])], ids=["at-bound", "over-bound"])
